@@ -35,6 +35,68 @@ def test_fig7_smoke_under_time_cap():
     )
 
 
+def measure_round_batching(num_queries=8):
+    """Requests and kernel calls one CI query costs (the e2e benchmark's CI).
+
+    Counts, not times, each against what the query plan allows: ANSWER
+    requests served by two shard servers per (round, file, shard touched),
+    and packed-kernel calls in process per (round, file).
+    """
+    from repro import SystemSpec
+    from repro.bench.workloads import generate_workload
+    from repro.engine import QueryEngine
+    from repro.network import random_planar_network
+    from repro.pir import resolve_kernel
+    from repro.pir.kernels import PackedDatabase
+    from repro.schemes import ConciseIndexScheme
+    from repro.serving import ShardCluster
+
+    network = random_planar_network(600, seed=1)
+    scheme = ConciseIndexScheme.build(network, SystemSpec(page_size=256))
+    pairs = generate_workload(network, num_queries, seed=1)
+    kernel = resolve_kernel("auto")
+    fetches = [count for round_spec in scheme.plan.rounds for _, count in round_spec.fetches]
+    request_bound = sum(min(2, count) for count in fetches)
+    data = {"kernel": kernel, "queries": num_queries, "plan_request_bound": request_bound}
+
+    with ShardCluster(scheme.database, num_shards=2, kernel=kernel) as cluster:
+        with QueryEngine(scheme, serving=cluster) as engine:
+            engine.run_batch(pairs, verify_costs=False)
+    # read after the drain; the engine's layout check sent one HELLO per server
+    served = sum(stats["requests_served"] for stats in cluster.stats()) - 2
+    data["answer_requests_per_query"] = served / num_queries
+    data["answer_requests_per_plan_bound"] = served / (num_queries * request_bound)
+
+    if kernel == "numpy":
+        calls = []
+        answer_rows = PackedDatabase.answer_rows
+        PackedDatabase.answer_rows = lambda self, masks: (
+            calls.append(len(masks)) or answer_rows(self, masks)
+        )
+        try:
+            with QueryEngine(scheme) as engine:
+                engine.run_batch(pairs, verify_costs=False)
+        finally:
+            PackedDatabase.answer_rows = answer_rows
+        data["kernel_calls_per_query"] = len(calls) / num_queries
+        data["kernel_calls_per_round_file"] = len(calls) / (num_queries * len(fetches))
+    return data
+
+
+def test_round_batching_counts(record_result):
+    """One protocol round costs one request per shard and one kernel call."""
+    from perf_gate import check_floors
+
+    data = measure_round_batching()
+    record_result(
+        "round_batching",
+        "\n".join(f"{key}: {value}" for key, value in data.items()) + "\n",
+        data=data,
+    )
+    violations = check_floors({"round_batching": data})
+    assert not violations, "; ".join(violations)
+
+
 def test_committed_baselines_meet_metric_floors():
     """The checked-in ``results/*.json`` baselines pass the per-metric gate.
 

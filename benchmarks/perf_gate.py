@@ -30,14 +30,25 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 class MetricFloor:
-    """A lower bound on one dotted metric path of one benchmark's data."""
+    """A bound on one dotted metric path of one benchmark's data.
 
-    def __init__(self, path: str, floor: float, when: Optional[Tuple[str, object]] = None):
+    A lower bound by default; ``at_most=True`` turns it into a ceiling, for
+    counts of work (requests, kernel calls) that must not grow.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        floor: float,
+        when: Optional[Tuple[str, object]] = None,
+        at_most: bool = False,
+    ):
         self.path = path
         self.floor = floor
         #: Optional (path, value) guard: the floor applies only when the
         #: benchmark's data carries that value (e.g. the numpy kernel ran).
         self.when = when
+        self.at_most = at_most
 
 
 #: benchmark name (== results/<name>.json) -> floors over its ``data``.
@@ -74,6 +85,17 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         MetricFloor("retrievals_per_s", 1000.0, when=("kernel", "numpy")),
         # engine batches over TCP are bit-identical to in-process serving
         MetricFloor("bit_identical", 1.0),
+    ],
+    "round_batching": [
+        # one protocol round = one retrieval batch (bench_smoke measures the
+        # e2e benchmark's CI over two shards): at most one ANSWER request
+        # per (round, file, shard touched) — 4 per query on that plan — and
+        # at most two kernel calls per (round, file) in process (6; it
+        # makes 3).  A per-page fetch loop reads 16x and 43x here.
+        MetricFloor("answer_requests_per_plan_bound", 1.0, at_most=True),
+        MetricFloor(
+            "kernel_calls_per_round_file", 2.0, when=("kernel", "numpy"), at_most=True
+        ),
     ],
 }
 
@@ -131,7 +153,12 @@ def check_floors(
                     f"{benchmark}: metric {metric.path!r} is missing "
                     f"(floor {metric.floor:g})"
                 )
-            elif float(value) < metric.floor:
+            elif metric.at_most and float(value) > metric.floor:
+                violations.append(
+                    f"{benchmark}: {metric.path} = {float(value):.2f} is above "
+                    f"its ceiling of {metric.floor:g}"
+                )
+            elif not metric.at_most and float(value) < metric.floor:
                 violations.append(
                     f"{benchmark}: {metric.path} = {float(value):.2f} is below "
                     f"its floor of {metric.floor:g}"

@@ -8,17 +8,19 @@ Importing this package registers every bundled rule with the registry in
 * :mod:`.determinism` — I2, bit-identical results;
 * :mod:`.optional_deps` — I3, numpy/scipy stay optional;
 * :mod:`.concurrency` — module-state hygiene under the parallel engine;
-* :mod:`.resources` — page-store/file lifetime hygiene.
+* :mod:`.resources` — page-store/file lifetime hygiene;
+* :mod:`.performance` — one protocol round is one retrieval batch.
 """
 
 from __future__ import annotations
 
-from . import concurrency, determinism, optional_deps, privacy, resources
+from . import concurrency, determinism, optional_deps, performance, privacy, resources
 
 __all__ = [
     "concurrency",
     "determinism",
     "optional_deps",
+    "performance",
     "privacy",
     "resources",
 ]

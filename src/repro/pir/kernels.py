@@ -1023,9 +1023,9 @@ def oblivious_read_many(
             log(frozenset(mask_indices(mask_a)))
             log(frozenset(mask_indices(mask_b)))
     if isinstance(kernel, PackedDatabase):
-        rows = kernel.answer_rows(masks_a)
-        rows = rows ^ kernel.answer_rows(masks_b)
-        return kernel.rows_to_blocks(rows)
+        # both shares in one kernel call: half the calls, twice the batch
+        rows = kernel.answer_rows(masks_a + masks_b)
+        return kernel.rows_to_blocks(rows[: len(indices)] ^ rows[len(indices) :])
     return [
         (
             int.from_bytes(kernel.answer_mask(mask_a), "big")

@@ -115,11 +115,7 @@ class UsablePirSimulator:
         self, file_name: str, page_number: int, trace: Optional[AccessTrace] = None
     ) -> bytes:
         """Obliviously retrieve one page of ``file_name``."""
-        page_file = self._validate_file(file_name)
-        self._validate_page(page_file, file_name, page_number)
-        data = self._read_page(page_file, page_number)
-        self._charge(page_file, file_name, page_number, trace)
-        return data
+        return self.retrieve_pages(file_name, [page_number], trace)[0]
 
     def retrieve_pages(
         self,
@@ -127,78 +123,48 @@ class UsablePirSimulator:
         page_numbers: Sequence[int],
         trace: Optional[AccessTrace] = None,
     ) -> List[bytes]:
-        """Retrieve a batch of pages; equivalent to repeated :meth:`retrieve_page`.
+        """Retrieve a batch of pages — one round's requests against one file.
 
-        The bytes come back in one batched page-store read
-        (:meth:`~repro.storage.pagefile.PageFile.read_pages_batch` — one
-        round trip for the SQLite backend), while validation, cost accounting
-        and trace recording run per page in request order, so traces and
-        simulated times are identical to repeated single retrievals.  The
-        sharded simulator (:class:`~repro.pir.sharded.ShardedPirSimulator`)
-        overrides this to serve each shard's sub-batch independently.
+        Validation, cost accounting and trace recording run per page in
+        request order, so traces and simulated times do not depend on how
+        pages are batched; the bytes come from :meth:`_read_pages`, which the
+        sharded simulators override to serve each shard's sub-batch.
         """
         page_numbers = list(page_numbers)
-        page_file = self._validate_file(file_name)
-        for page_number in page_numbers:
-            self._validate_page(page_file, file_name, page_number)
-        if self.xor_kernel is None:
-            results = page_file.read_pages_batch(page_numbers)
-        else:
-            results = self._oblivious_read(page_file, page_numbers)
-        for page_number in page_numbers:
-            self._charge(page_file, file_name, page_number, trace)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # hooks shared with the sharded simulator
-    # ------------------------------------------------------------------ #
-    def _validate_file(self, file_name: str) -> PageFile:
         page_file = self.database.file(file_name)
         if self.enforce_limits:
             self.scp.check_file(page_file)
-        return page_file
+        for page_number in page_numbers:
+            if page_number < 0 or page_number >= page_file.num_pages:
+                raise PirError(
+                    f"page {page_number} out of range for file {file_name!r} "
+                    f"({page_file.num_pages} pages)"
+                )
+        results = self._read_pages(page_file, page_numbers)
+        page_time_s = pir_page_retrieval_time(page_file.num_pages, self.spec)
+        for page_number in page_numbers:
+            self._pir_time_s += page_time_s
+            if trace is not None:
+                trace.record_pir_access(file_name, page_number)
+        return results
 
-    def _validate_page(self, page_file: PageFile, file_name: str, page_number: int) -> None:
-        if page_number < 0 or page_number >= page_file.num_pages:
-            raise PirError(
-                f"page {page_number} out of range for file {file_name!r} "
-                f"({page_file.num_pages} pages)"
-            )
-
-    def _read_page(self, page_file: PageFile, page_number: int) -> bytes:
-        """Fetch the page bytes (overridden by the sharded simulator)."""
-        if self.xor_kernel is None:
-            return page_file.read_page(page_number)
-        return self._oblivious_read(page_file, [page_number])[0]
-
-    def _oblivious_read(
-        self, page_file: PageFile, page_numbers: Sequence[int]
-    ) -> List[bytes]:
-        """Serve validated page reads through the XOR kernel (opt-in path).
+    def _read_pages(self, page_file: PageFile, page_numbers: List[int]) -> List[bytes]:
+        """The bytes of validated pages: one batched page-store read, or —
+        under XOR serving — one mask draw and one kernel call for the batch.
 
         The packed kernel for each file is memoised per backing store
         (:func:`~repro.pir.kernels.shared_kernel`), so every simulator over
         the same database — e.g. all engine worker contexts — answers off
         one packed image.
         """
+        if self.xor_kernel is None:
+            return page_file.read_pages_batch(page_numbers)
         kernel = shared_kernel(page_file, kernel=self.xor_kernel)
         log: Optional[Callable[[frozenset], None]] = None
         if self.log_queries:
             file_name = page_file.name
             log = lambda subset: self.queries_seen.append((file_name, subset))
         return oblivious_read_many(kernel, self._kernel_rng, page_numbers, log=log)
-
-    def _charge(
-        self,
-        page_file: PageFile,
-        file_name: str,
-        page_number: int,
-        trace: Optional[AccessTrace],
-    ) -> None:
-        """Accumulate the simulated cost and record the access."""
-        self._pir_time_s += pir_page_retrieval_time(page_file.num_pages, self.spec)
-        if trace is not None:
-            trace.record_pir_access(file_name, page_number)
 
     def download_header(self, trace: Optional[AccessTrace] = None) -> bytes:
         """Download the header file in full, without the PIR interface."""

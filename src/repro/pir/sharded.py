@@ -46,7 +46,6 @@ from typing import (
 from ..costmodel import DEFAULT_SPEC, SystemSpec
 from ..exceptions import PirError
 from ..storage import Database
-from .access_log import AccessTrace
 from .kernels import (
     PackedDatabase,
     ServerKernel,
@@ -344,12 +343,6 @@ class ShardedPageStore:
                 )
         return file_map
 
-    def read_local(self, shard_id: int, file_name: str, local_page: int) -> bytes:
-        """The padded page image at a shard-local coordinate."""
-        file_map = self.check_local(shard_id, file_name, (local_page,))
-        page_number = file_map.global_index(shard_id, local_page)
-        return self._files[file_name].read_page(page_number)
-
     def read_local_batch(
         self, shard_id: int, file_name: str, local_pages: Sequence[int]
     ) -> List[bytes]:
@@ -482,14 +475,6 @@ class PirShard:
     def num_pages(self, file_name: str) -> int:
         return self._store.shard_num_pages(self.shard_id, file_name)
 
-    def read(self, file_name: str, local_page: int) -> bytes:
-        if self._xor_kernel is None:
-            page = self._store.read_local(self.shard_id, file_name, local_page)
-        else:
-            page = self._serve(file_name, [local_page])[0]
-        self.pages_served += 1
-        return page
-
     def read_many(self, file_name: str, local_pages: Sequence[int]) -> List[bytes]:
         if self._xor_kernel is None:
             pages = self._store.read_local_batch(self.shard_id, file_name, local_pages)
@@ -599,38 +584,30 @@ class ShardedPirSimulator(UsablePirSimulator):
         """Pages served so far by each shard connection (serving balance)."""
         return [shard.pages_served for shard in self.shards]
 
-    def _read_page(self, page_file: "PageFile", page_number: int) -> bytes:
-        shard, local = self.shard_of_page(page_file.name, page_number)
-        return self.shards[shard].read(page_file.name, local)
-
-    def retrieve_pages(
-        self,
-        file_name: str,
-        page_numbers: Sequence[int],
-        trace: Optional[AccessTrace] = None,
-    ) -> List[bytes]:
-        """Batched retrieval: each shard serves its sub-batch independently.
-
-        Validation, cost accounting and trace recording are performed in
-        request order (identical to repeated :meth:`retrieve_page` calls);
-        only the byte reads are grouped by owning shard, which is the part a
-        real deployment answers on independent machines.
-        """
-        page_numbers = list(page_numbers)
-        page_file = self._validate_file(file_name)
-        for page_number in page_numbers:
-            self._validate_page(page_file, file_name, page_number)
+    def _read_pages(self, page_file: "PageFile", page_numbers: List[int]) -> List[bytes]:
+        """Each shard serves its sub-batch independently — the part a real
+        deployment answers on separate machines."""
+        file_name = page_file.name
         by_shard: Dict[int, List[Tuple[int, int]]] = {}
         for position, page_number in enumerate(page_numbers):
             shard, local = self.shard_of_page(file_name, page_number)
             by_shard.setdefault(shard, []).append((position, local))
+        answers = self._read_shards(
+            file_name,
+            [(shard, [local for _, local in sub_batch]) for shard, sub_batch in by_shard.items()],
+        )
         results: List[Optional[bytes]] = [None] * len(page_numbers)
-        for shard, sub_batch in by_shard.items():
-            answers = self.shards[shard].read_many(
-                file_name, [local for _, local in sub_batch]
-            )
-            for (position, _), answer in zip(sub_batch, answers):
-                results[position] = answer
-        for page_number in page_numbers:
-            self._charge(page_file, file_name, page_number, trace)
+        for sub_batch, pages in zip(by_shard.values(), answers):
+            for (position, _), page in zip(sub_batch, pages):
+                results[position] = page
         return cast(List[bytes], results)
+
+    def _read_shards(
+        self, file_name: str, sub_batches: Sequence[Tuple[int, List[int]]]
+    ) -> List[List[bytes]]:
+        """Each ``(shard, local pages)`` sub-batch's bytes, in the order given —
+        the mask-RNG contract's: one subset draw per shard, first touched first."""
+        return [
+            self.shards[shard].read_many(file_name, local_pages)
+            for shard, local_pages in sub_batches
+        ]

@@ -234,17 +234,14 @@ class ArcFlagScheme(Scheme):
 
         # round 2: source and destination regions
         rounds.begin_round()
-        for region_id in touched[:2]:
-            rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-        rounds.pad(DATA_FILE, 2 * self.pages_per_region)
+        per_region = self.pages_per_region
+        rounds.pad(DATA_FILE, 2 * per_region, pages=header.data_pages_for_regions(touched[:2]))
 
         # subsequent rounds: one region per round, then dummy rounds
-        for region_id in touched[2:]:
+        later_rounds = [[region_id] for region_id in touched[2:]]
+        later_rounds += [[]] * (self.max_regions - max(len(touched), 2))
+        for round_regions in later_rounds:
             rounds.begin_round()
-            rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-            rounds.pad(DATA_FILE, self.pages_per_region)
-        for _ in range(self.max_regions - max(len(touched), 2)):
-            rounds.begin_round()
-            rounds.pad(DATA_FILE, self.pages_per_region)
+            rounds.pad(DATA_FILE, per_region, pages=header.data_pages_for_regions(round_regions))
 
         return self.finish_query(path, trace, timer.seconds)

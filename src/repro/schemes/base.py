@@ -155,18 +155,17 @@ class RoundManager:
         return self._pir.download_header(self._trace)
 
     def fetch(self, file_name: str, page_number: int) -> bytes:
-        data = self._pir.retrieve_page(file_name, page_number, self._trace)
-        self._round_counts[file_name] = self._round_counts.get(file_name, 0) + 1
-        return data
+        return self._retrieve(file_name, [page_number])[0]
 
     def fetch_many(self, file_name: str, page_numbers: Sequence[int]) -> List[bytes]:
-        """Fetch a batch of pages in one call.
+        """Fetch a batch of pages in one retrieval call.
 
-        Routed through the simulator's batched retrieval so a sharded store
-        serves each shard's sub-batch through its own connection; traces and
-        costs are identical to repeated :meth:`fetch` calls.
+        The simulator answers the whole batch at once (one request per shard
+        it touches); traces and costs are recorded per page in request order.
         """
-        page_numbers = list(page_numbers)
+        return self._retrieve(file_name, list(page_numbers))
+
+    def _retrieve(self, file_name: str, page_numbers: List[int]) -> List[bytes]:
         data = self._pir.retrieve_pages(file_name, page_numbers, self._trace)
         self._round_counts[file_name] = (
             self._round_counts.get(file_name, 0) + len(page_numbers)
@@ -176,22 +175,29 @@ class RoundManager:
     def pages_fetched_this_round(self, file_name: str) -> int:
         return self._round_counts.get(file_name, 0)
 
-    def pad(self, file_name: str, target_pages: int) -> None:
-        """Issue dummy retrievals until ``target_pages`` pages of ``file_name``
-        have been fetched in the current round.
+    def pad(
+        self, file_name: str, target_pages: int, pages: Sequence[int] = ()
+    ) -> List[bytes]:
+        """Fetch ``pages`` plus dummies, as one batch, until ``target_pages``
+        pages of ``file_name`` have been fetched in the current round.
 
-        Dummy requests target uniformly random pages so they are
-        indistinguishable from real ones at the PIR layer.
+        A round's real pages of a file and its padding travel together — one
+        retrieval call, so one request per shard — and the bytes of ``pages``
+        are returned.  Dummy requests target uniformly random pages so they
+        are indistinguishable from real ones at the PIR layer.
         """
-        already = self.pages_fetched_this_round(file_name)
-        if already > target_pages:
+        pages = list(pages)
+        wanted = self.pages_fetched_this_round(file_name) + len(pages)
+        if wanted > target_pages:
             raise PlanViolationError(
-                f"query fetched {already} pages from {file_name!r} but the plan "
+                f"query fetches {wanted} pages from {file_name!r} but the plan "
                 f"allows only {target_pages}"
             )
         num_pages = self._pir.database.file(file_name).num_pages
-        for _ in range(target_pages - already):
-            self.fetch(file_name, self._rng.randrange(num_pages))
+        dummies = [self._rng.randrange(num_pages) for _ in range(target_pages - wanted)]
+        if not pages and not dummies:
+            return []
+        return self.fetch_many(file_name, pages + dummies)[: len(pages)]
 
 
 def verify_plan_conformance(trace: AccessTrace, plan: QueryPlan) -> None:

@@ -201,8 +201,7 @@ class ConciseIndexScheme(Scheme):
         # round 3: the fixed window of network-index pages
         rounds.begin_round()
         index_pages = header.index_pages_starting_at(index_start_page)
-        fetched_index = rounds.fetch_many(INDEX_FILE, index_pages)
-        rounds.pad(INDEX_FILE, header.index_fetch_pages)
+        fetched_index = rounds.pad(INDEX_FILE, header.index_fetch_pages, pages=index_pages)
         with timer:
             entry = decode_index_entry(fetched_index, (source_region, target_region))
             if entry is None or entry.regions is None:
@@ -211,11 +210,13 @@ class ConciseIndexScheme(Scheme):
 
         # round 4: region data pages, padded to m + 2
         rounds.begin_round()
-        payloads = []
-        for region_id in regions_to_fetch:
-            pages = rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-            payloads.append(pages)
-        rounds.pad(DATA_FILE, header.data_round_pages)
+        payloads = header.region_payloads(
+            rounds.pad(
+                DATA_FILE,
+                header.data_round_pages,
+                pages=header.data_pages_for_regions(regions_to_fetch),
+            )
+        )
 
         def solve() -> QueryResult:
             with timer:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError, StorageError
 from ..network import RoadNetwork
@@ -105,10 +105,19 @@ class HeaderInfo:
         index = region_i * self.num_regions + region_j
         return index // self.lookup_entries_per_page, index % self.lookup_entries_per_page
 
-    def data_pages_for_region(self, region_id: int) -> List[int]:
-        """Page numbers (in the data file) holding the region's network information."""
-        first = self.data_page_offset + region_id * self.data_pages_per_region
-        return list(range(first, first + self.data_pages_per_region))
+    def data_pages_for_regions(self, region_ids: Iterable[int]) -> List[int]:
+        """Page numbers (in the data file) holding the regions' network
+        information, region after region — one batched fetch's page list."""
+        pages: List[int] = []
+        for region_id in region_ids:
+            first = self.data_page_offset + region_id * self.data_pages_per_region
+            pages.extend(range(first, first + self.data_pages_per_region))
+        return pages
+
+    def region_payloads(self, fetched: List[bytes]) -> List[List[bytes]]:
+        """Regroup the bytes of a :meth:`data_pages_for_regions` fetch per region."""
+        step = self.data_pages_per_region
+        return [fetched[start : start + step] for start in range(0, len(fetched), step)]
 
     def index_pages_starting_at(self, first_page: int) -> List[int]:
         """The ``index_fetch_pages`` consecutive index pages the plan prescribes.

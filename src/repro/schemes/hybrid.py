@@ -261,8 +261,7 @@ class HybridScheme(Scheme):
         # round 3: r pages of the combined file at the entry's position
         rounds.begin_round()
         window = header.index_pages_starting_at(index_start_page)
-        fetched_index = rounds.fetch_many(COMBINED_FILE, window)
-        rounds.pad(COMBINED_FILE, header.index_fetch_pages)
+        fetched_index = rounds.pad(COMBINED_FILE, header.index_fetch_pages, pages=window)
         key = (source_region, target_region)
         with timer:
             entry = decode_index_entry(fetched_index, key)
@@ -271,23 +270,24 @@ class HybridScheme(Scheme):
 
         # round 4: continuation pages (subgraph case), region data pages, dummies
         rounds.begin_round()
-        continuation_pages: list = []
+        continuation: list = []
         if entry.edges is not None and header.index_continuation_pages > 0:
             first_continuation = window[-1] + 1 if window else 0
             last_continuation = min(
                 header.num_index_pages, first_continuation + header.index_continuation_pages
             )
             continuation = list(range(first_continuation, last_continuation))
-            continuation_pages = rounds.fetch_many(COMBINED_FILE, continuation)
         if entry.regions is not None:
             regions_to_fetch = sorted(set(entry.regions) | {source_region, target_region})
         else:
             regions_to_fetch = sorted({source_region, target_region})
-        payloads = []
-        for region_id in regions_to_fetch:
-            pages = rounds.fetch_many(COMBINED_FILE, header.data_pages_for_region(region_id))
-            payloads.append(pages)
-        rounds.pad(COMBINED_FILE, header.data_round_pages)
+        fetched = rounds.pad(
+            COMBINED_FILE,
+            header.data_round_pages,
+            pages=continuation + header.data_pages_for_regions(regions_to_fetch),
+        )
+        continuation_pages = fetched[: len(continuation)]
+        payloads = header.region_payloads(fetched[len(continuation) :])
         is_subgraph_entry = entry.edges is not None
         round3_entry = entry
 

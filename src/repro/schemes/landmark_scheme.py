@@ -220,16 +220,13 @@ class LandmarkScheme(Scheme):
 
         # round 2: source and destination regions
         rounds.begin_round()
-        for region_id in touched[:2]:
-            rounds.fetch(DATA_FILE, header.data_pages_for_region(region_id)[0])
-        rounds.pad(DATA_FILE, 2)
+        rounds.pad(DATA_FILE, 2, pages=header.data_pages_for_regions(touched[:2]))
 
         # subsequent rounds: one page per region touched by the search, then dummies
-        for region_id in touched[2:]:
+        later_rounds = [[region_id] for region_id in touched[2:]]
+        later_rounds += [[]] * (self.max_pages - max(len(touched), 2))
+        for round_regions in later_rounds:
             rounds.begin_round()
-            rounds.fetch(DATA_FILE, header.data_pages_for_region(region_id)[0])
-        for _ in range(self.max_pages - max(len(touched), 2)):
-            rounds.begin_round()
-            rounds.pad(DATA_FILE, 1)
+            rounds.pad(DATA_FILE, 1, pages=header.data_pages_for_regions(round_regions))
 
         return self.finish_query(path, trace, timer.seconds)

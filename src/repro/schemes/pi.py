@@ -197,13 +197,14 @@ class PassageIndexScheme(Scheme):
         # round 3: the subgraph pages plus the two region-data pages
         rounds.begin_round()
         index_pages = header.index_pages_starting_at(index_start_page)
-        fetched_index = rounds.fetch_many(INDEX_FILE, index_pages)
-        rounds.pad(INDEX_FILE, header.index_fetch_pages)
-        payloads = []
-        for region_id in sorted({source_region, target_region}):
-            pages = rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-            payloads.append(pages)
-        rounds.pad(DATA_FILE, header.data_round_pages)
+        fetched_index = rounds.pad(INDEX_FILE, header.index_fetch_pages, pages=index_pages)
+        payloads = header.region_payloads(
+            rounds.pad(
+                DATA_FILE,
+                header.data_round_pages,
+                pages=header.data_pages_for_regions(sorted({source_region, target_region})),
+            )
+        )
 
         def solve() -> QueryResult:
             with timer:

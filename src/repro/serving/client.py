@@ -27,6 +27,7 @@ import random
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -75,7 +76,10 @@ class ShardConnection:
             header = self._recv_exact(sock, wire.HEADER_SIZE)
             length = wire.decode_frame_length(header)
             return self._recv_exact(sock, length)
-        except (OSError, wire.WireError):
+        except OSError as exc:
+            self.close()
+            raise PirError(f"request to shard server at {self.address} failed: {exc}") from exc
+        except PirError:
             self.close()
             raise
 
@@ -190,20 +194,19 @@ class RemotePirShard:
     def num_pages(self, file_name: str) -> int:
         return self._store.shard_num_pages(self.shard_id, file_name)
 
-    def read(self, file_name: str, local_page: int) -> bytes:
-        page = self._serve(file_name, [local_page])[0]
-        self.pages_served += 1
-        return page
-
     def read_many(self, file_name: str, local_pages: Sequence[int]) -> List[bytes]:
-        pages = self._serve(file_name, list(local_pages))
-        self.pages_served += len(pages)
-        return pages
-
-    def _serve(self, file_name: str, local_pages: List[int]) -> List[bytes]:
-        """Two-server XOR retrieval with both answers served remotely."""
         if not local_pages:
             return []
+        return self.finish_read(*self.begin_read(file_name, local_pages))
+
+    def begin_read(self, file_name: str, local_pages: Sequence[int]) -> Tuple[bytes, int]:
+        """The order-sensitive half of a two-server XOR retrieval, no I/O.
+
+        Validates, draws the sub-batch's masks in one ``random_subset_masks``
+        call and writes the adversary log; returns :meth:`finish_read`'s
+        arguments, so a simulator can begin every shard's read in contract
+        order before any round trip is in flight.
+        """
         self._store.check_local(self.shard_id, file_name, local_pages)
         num_blocks = self._store.shard_num_pages(self.shard_id, file_name)
         masks_a = random_subset_masks(self._rng, num_blocks, len(local_pages))
@@ -212,17 +215,24 @@ class RemotePirShard:
             for mask_a, mask_b in zip(masks_a, masks_b):
                 self._log((file_name, self.shard_id, frozenset(mask_indices(mask_a))))
                 self._log((file_name, self.shard_id, frozenset(mask_indices(mask_b))))
-        payload = wire.encode_answer_request(file_name, masks_a + masks_b)
+        return wire.encode_answer_request(file_name, masks_a + masks_b), len(masks_a)
+
+    def finish_read(self, payload: bytes, count: int) -> List[bytes]:
+        """The round trip and XOR combine of a begun read (any thread).
+
+        A ``BUSY`` retry re-sends ``payload`` as is: redrawing would
+        desynchronise the mask-RNG contract and hand the server a second,
+        correlated view of the same pages.
+        """
         answers = self._answers(payload)
-        if len(answers) != 2 * len(local_pages):
+        if len(answers) != 2 * count:
             raise PirError(
-                f"shard server answered {len(answers)} blocks for "
-                f"{2 * len(local_pages)} masks"
+                f"shard server answered {len(answers)} blocks for {2 * count} masks"
             )
-        half = len(local_pages)
+        self.pages_served += count
         return [
             xor_bytes(answer_a, answer_b)
-            for answer_a, answer_b in zip(answers[:half], answers[half:])
+            for answer_a, answer_b in zip(answers[:count], answers[count:])
         ]
 
     def _answers(self, payload: bytes) -> List[bytes]:
@@ -304,8 +314,39 @@ class RemotePirSimulator(ShardedPirSimulator):
             )
             for shard_id, address in enumerate(addresses)
         ]
+        #: Carries all but one of a round's shard round trips (lazy threads).
+        self._fanout = ThreadPoolExecutor(
+            max_workers=max(1, len(addresses) - 1),
+            thread_name_prefix="repro-shard-fanout",
+        )
         if check_layout:
             self.check_layout()
+
+    def _read_shards(
+        self, file_name: str, sub_batches: Sequence[Tuple[int, List[int]]]
+    ) -> List[List[bytes]]:
+        """One round trip per shard touched, all in flight together.
+
+        Every sub-batch is begun first, on the calling thread and in order
+        (masks, adversary log), so only the ``ConnectionPool.request`` I/O
+        overlaps; the last request runs here, the others on the helper pool.
+        """
+        if not sub_batches:
+            return []
+        begun = [
+            (self.shards[shard], self.shards[shard].begin_read(file_name, local_pages))
+            for shard, local_pages in sub_batches
+        ]
+        *others, (last_shard, last_request) = begun
+        futures = [
+            self._fanout.submit(shard.finish_read, *request) for shard, request in others
+        ]
+        try:
+            last = last_shard.finish_read(*last_request)
+        finally:
+            # no request outlives the call, also when one of them fails
+            wait(futures)
+        return [future.result() for future in futures] + [last]
 
     def check_layout(self) -> None:
         """HELLO every server and verify it matches the local shard view."""
@@ -344,6 +385,7 @@ class RemotePirSimulator(ShardedPirSimulator):
                 )
 
     def close(self) -> None:
-        """Close every pooled connection (the servers keep running)."""
+        """Stop the helper threads, close the connections (servers keep running)."""
+        self._fanout.shutdown(wait=True)
         for shard in self.shards:
             shard.close()

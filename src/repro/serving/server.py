@@ -107,6 +107,8 @@ class ShardServer:
         # loop-thread state
         self._pending: Dict[str, List[Tuple[Sequence[int], asyncio.Future]]] = {}
         self._pending_masks = 0
+        #: Masks queued per file since its last flush (the flush trigger).
+        self._pending_per_file: Dict[str, int] = {}
         self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
         self._outstanding = 0
         self._draining = False
@@ -341,10 +343,10 @@ class ShardServer:
         assert self._loop is not None
         future: "asyncio.Future[bytes]" = self._loop.create_future()
         self._request_started()
-        batch = self._pending.setdefault(file_name, [])
-        batch.append((masks, future))
+        self._pending.setdefault(file_name, []).append((masks, future))
         self._pending_masks += len(masks)
-        pending_here = sum(len(entry_masks) for entry_masks, _ in batch)
+        pending_here = self._pending_per_file.get(file_name, 0) + len(masks)
+        self._pending_per_file[file_name] = pending_here
         if pending_here >= self.max_batch_masks:
             handle = self._flush_handles.pop(file_name, None)
             if handle is not None:
@@ -396,6 +398,7 @@ class ShardServer:
         if handle is not None:
             handle.cancel()
         batch = self._pending.pop(file_name, [])
+        self._pending_per_file.pop(file_name, None)
         if not batch:
             return
         flat: List[int] = []

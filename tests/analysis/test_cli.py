@@ -61,7 +61,7 @@ def test_list_rules_groups_by_family(capsys):
     out = capsys.readouterr().out
     assert code == 0
     for family in ("privacy", "determinism", "optional-deps", "concurrency",
-                   "resources"):
+                   "resources", "performance"):
         assert f"{family}:" in out
     assert "det-wallclock" in out
 

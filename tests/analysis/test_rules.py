@@ -35,6 +35,9 @@ EXPECTED_FIRING = {
     ("src/repro/serving/leaky_server.py", 9, "privacy-taint"),
     ("src/repro/serving/leaky_server.py", 10, "privacy-queries-seen"),
     ("src/repro/serving/pool.py", 7, "det-wallclock"),
+    ("src/repro/schemes/serial_fetch.py", 4, "perf-serial-fetch"),
+    ("src/repro/schemes/serial_fetch.py", 7, "perf-serial-fetch"),
+    ("src/repro/schemes/serial_fetch.py", 8, "perf-serial-fetch"),
 }
 
 ALL_RULE_IDS = sorted({rule_id for _, _, rule_id in EXPECTED_FIRING})

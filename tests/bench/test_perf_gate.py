@@ -45,6 +45,14 @@ PASSING_SERVING = {
 }
 
 
+#: Round-batching counts at their ceilings (one batch per round and file).
+PASSING_ROUND_BATCHING = {
+    "kernel": "numpy",
+    "answer_requests_per_plan_bound": 1.0,
+    "kernel_calls_per_round_file": 1.0,
+}
+
+
 def _write_envelope(directory: Path, name: str, data) -> Path:
     path = directory / f"{name}.json"
     path.write_text(
@@ -144,6 +152,20 @@ class TestCheckFloors:
         assert len(violations) == 1
         assert "xor_kernel.speedup" in violations[0]
 
+    def test_count_above_its_ceiling_is_named(self):
+        assert check_floors({"round_batching": PASSING_ROUND_BATCHING}) == []
+        # a per-page fetch loop: 65 requests against a bound of 4, 130
+        # kernel calls over 3 (round, file) batches
+        data = dict(
+            PASSING_ROUND_BATCHING,
+            answer_requests_per_plan_bound=16.25,
+            kernel_calls_per_round_file=43.33,
+        )
+        violations = check_floors({"round_batching": data})
+        assert len(violations) == 2
+        assert "answer_requests_per_plan_bound = 16.25 is above its ceiling of 1" in violations[0]
+        assert "kernel_calls_per_round_file" in violations[1]
+
     def test_unregistered_benchmark_is_ignored(self):
         results = {"micro_fastpath": PASSING_DATA, "mystery": {"speedup": 0.0}}
         assert check_floors(results) == []
@@ -166,6 +188,7 @@ class TestGateCommittedResults:
     def test_malformed_baseline_fails_the_gate(self, tmp_path):
         _write_envelope(tmp_path, "micro_fastpath", PASSING_DATA)
         _write_envelope(tmp_path, "serving", PASSING_SERVING)
+        _write_envelope(tmp_path, "round_batching", PASSING_ROUND_BATCHING)
         (tmp_path / "broken.json").write_text("not json", encoding="utf-8")
         violations = gate_committed_results(tmp_path)
         assert len(violations) == 1
@@ -174,6 +197,7 @@ class TestGateCommittedResults:
     def test_healthy_baselines_pass(self, tmp_path):
         _write_envelope(tmp_path, "micro_fastpath", PASSING_DATA)
         _write_envelope(tmp_path, "serving", PASSING_SERVING)
+        _write_envelope(tmp_path, "round_batching", PASSING_ROUND_BATCHING)
         assert gate_committed_results(tmp_path) == []
 
     def test_committed_repository_baselines_pass_at_head(self):

@@ -391,6 +391,29 @@ class TestObliviousReadMany:
         assert oblivious_read_many(kernel, random.Random(0), []) == []
 
     @requires_numpy
+    @pytest.mark.parametrize("max_table_bytes", [None, 1])
+    @pytest.mark.parametrize("batch", [1, 15, 16, 31, 32, 45])
+    def test_both_shares_answer_in_one_kernel_call(self, batch, max_table_bytes, monkeypatch):
+        """Both XOR shares ride one ``answer_rows`` call, so the kernel sees
+        twice the batch — across its strategy switches (64 with group tables,
+        32 past the table budget) the halves still combine to the big-int
+        oracle's answers."""
+        blocks = make_blocks(40, 24, seed=batch)
+        packed = PackedDatabase.from_blocks(blocks, max_table_bytes=max_table_bytes)
+        calls = []
+        answer_rows = PackedDatabase.answer_rows
+        monkeypatch.setattr(
+            PackedDatabase,
+            "answer_rows",
+            lambda self, masks: calls.append(len(masks)) or answer_rows(self, masks),
+        )
+        indices = random.Random(batch).choices(range(40), k=batch)
+        answers = oblivious_read_many(packed, random.Random(3), indices)
+        assert calls == [2 * batch]
+        assert answers == oblivious_read_many(BigIntKernel(blocks), random.Random(3), indices)
+        assert answers == [blocks[i] for i in indices]
+
+    @requires_numpy
     def test_adversary_log_identical_across_kernels(self):
         """Same RNG state => byte-identical mask stream => identical logs,
         whichever kernel answers.  This is the queries_seen parity the

@@ -207,4 +207,6 @@ class TestShardedPirSimulator:
         page_file = database.file("data")
         local = store.locate("data", 0)[1]
         shard_of_page_zero = store.locate("data", 0)[0]
-        assert store.read_local(shard_of_page_zero, "data", local) == page_file.read_page(0)
+        assert store.read_local_batch(shard_of_page_zero, "data", [local]) == [
+            page_file.read_page(0)
+        ]

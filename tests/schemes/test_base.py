@@ -51,12 +51,36 @@ class TestRoundManager:
         assert manager.pages_fetched_this_round("data") == 5
         assert trace.pir_accesses_per_file() == {"data": 5}
 
+    def test_pad_sends_real_pages_and_dummies_as_one_batch(
+        self, round_manager, toy_database, monkeypatch
+    ):
+        manager, trace = round_manager
+        batches = []
+        retrieve_pages = manager._pir.retrieve_pages
+        monkeypatch.setattr(
+            manager._pir,
+            "retrieve_pages",
+            lambda name, pages, trace=None: batches.append(list(pages))
+            or retrieve_pages(name, pages, trace),
+        )
+        manager.begin_round()
+        real = manager.pad("data", 5, pages=[3, 1])
+        assert real == [toy_database.file("data").read_page(n) for n in (3, 1)]
+        # the same dummy stream the per-page driver drew, after the real pages
+        rng = random.Random(0)
+        assert batches == [[3, 1] + [rng.randrange(8) for _ in range(3)]]
+        assert [page for _, _, page in trace.private_page_requests()] == batches[0]
+        assert manager.pad("data", 5) == [] and len(batches) == 1
+
     def test_pad_rejects_overfetch(self, round_manager):
         manager, _ = round_manager
         manager.begin_round()
         manager.fetch_many("data", [0, 1, 2])
         with pytest.raises(PlanViolationError):
             manager.pad("data", 2)
+        manager.begin_round()
+        with pytest.raises(PlanViolationError):
+            manager.pad("data", 2, pages=[0, 1, 2])
 
     def test_header_download(self, round_manager):
         manager, trace = round_manager

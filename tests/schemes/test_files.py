@@ -71,8 +71,11 @@ class TestHeaderInfo:
 
     def test_data_pages_for_region_with_clustering_and_offset(self):
         header = make_header(data_pages_per_region=3, data_page_offset=100)
-        assert header.data_pages_for_region(0) == [100, 101, 102]
-        assert header.data_pages_for_region(2) == [106, 107, 108]
+        assert header.data_pages_for_regions([0]) == [100, 101, 102]
+        assert header.data_pages_for_regions([2, 0]) == [106, 107, 108, 100, 101, 102]
+        assert header.region_payloads([b"a", b"b", b"c", b"d", b"e", b"f"]) == [
+            [b"a", b"b", b"c"], [b"d", b"e", b"f"]
+        ]
 
     def test_index_window_clamps_at_file_end(self):
         header = make_header(index_fetch_pages=3, num_index_pages=10)

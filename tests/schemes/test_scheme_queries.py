@@ -96,6 +96,26 @@ class TestPrivacy:
             assert not hasattr(event, "page_number")
 
 
+class TestRoundBatching:
+    def test_one_retrieval_call_per_round_and_file(self, any_scheme, query_pairs, monkeypatch):
+        """Real pages and padding of a (round, file) travel as one batch."""
+        calls = []
+        retrieve_pages = any_scheme.pir.retrieve_pages
+
+        def recording(file_name, page_numbers, trace=None):
+            calls.append((file_name, len(page_numbers)))
+            return retrieve_pages(file_name, page_numbers, trace)
+
+        monkeypatch.setattr(any_scheme.pir, "retrieve_pages", recording)
+        planned = [
+            fetch for round_spec in any_scheme.plan.rounds for fetch in round_spec.fetches
+        ]
+        for source, target in query_pairs[:3]:
+            calls.clear()
+            any_scheme.query(source, target)
+            assert calls == planned
+
+
 class TestCostAccounting:
     def test_response_time_components_are_positive(self, any_scheme, query_pairs):
         source, target = query_pairs[0]

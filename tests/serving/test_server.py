@@ -161,7 +161,7 @@ class TestAdmissionControl:
                 busy_retries=3, busy_backoff_s=0.0,
             )
             with pytest.raises(ServerBusy):
-                shard.read("data", 0)  # two masks never fit in one pending slot
+                shard.read_many("data", [0])  # two masks never fit in one pending slot
             assert server.stats()["busy_rejections"] == 4  # initial try + 3 retries
             shard.close()
 
