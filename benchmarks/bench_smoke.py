@@ -97,6 +97,72 @@ def test_round_batching_counts(record_result):
     assert not violations, "; ".join(violations)
 
 
+def measure_idle_flush(requests=200, num_pages=64, page_size=64):
+    """What an idle shard server adds to one retrieval, in units of a HELLO.
+
+    One connection, one request in flight: a single-retrieval ANSWER round
+    trip over a HELLO round trip on the same socket.  HELLO never touches
+    the flush path, so the ratio is the flush policy plus a two-mask kernel
+    call over a store kept small enough that the kernel is not the ratio —
+    and it cancels the machine.  A flush that waits on a timer reads >40.
+    """
+    from statistics import median
+
+    from repro.pir import resolve_kernel
+    from repro.pir.sharded import ShardedPageStore
+    from repro.serving import ShardConnection, ShardServer, wire
+    from repro.storage import Database
+
+    database = Database(page_size)
+    page_file = database.create_file("data")
+    for index in range(num_pages):
+        page_file.new_page().append(bytes([index]) * (page_size // 2))
+    store = ShardedPageStore(database, 1, "round-robin")
+    kernel = resolve_kernel("auto")
+    hello = wire.encode_hello_request()
+    answers = [
+        wire.encode_answer_request("data", [(index + 1) << 1, (index + 1) << 1 | 1])
+        for index in range(requests)
+    ]
+
+    def timed(conn, payload):
+        started = time.perf_counter()
+        conn.request(payload)
+        return time.perf_counter() - started
+
+    with ShardServer(store, shard_id=0, kernel=kernel) as server:
+        conn = ShardConnection(server.address)
+        for payload in answers[:20]:  # pack build, connection, caches
+            conn.request(payload)
+        before = server.stats()
+        hello_rtt = median(timed(conn, hello) for _ in range(requests))
+        answer_rtt = median(timed(conn, payload) for payload in answers)
+        conn.close()
+        after = server.stats()
+    return {
+        "kernel": kernel,
+        "requests": requests,
+        "hello_rtt_ms": hello_rtt * 1000.0,
+        "answer_rtt_ms": answer_rtt * 1000.0,
+        "answer_over_hello_rtt": answer_rtt / hello_rtt,
+        "flushes_per_request": (after["flushes"] - before["flushes"]) / requests,
+    }
+
+
+def test_idle_flush_latency(record_result):
+    """An idle server answers at once: no flush waits, none is shared."""
+    from perf_gate import check_floors
+
+    data = measure_idle_flush()
+    record_result(
+        "idle_flush",
+        "\n".join(f"{key}: {value}" for key, value in data.items()) + "\n",
+        data=data,
+    )
+    violations = check_floors({"idle_flush": data})
+    assert not violations, "; ".join(violations)
+
+
 def test_committed_baselines_meet_metric_floors():
     """The checked-in ``results/*.json`` baselines pass the per-metric gate.
 

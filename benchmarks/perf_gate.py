@@ -97,6 +97,15 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
             "kernel_calls_per_round_file", 2.0, when=("kernel", "numpy"), at_most=True
         ),
     ],
+    "idle_flush": [
+        # an idle shard server flushes an admitted request at once (bench_smoke:
+        # one connection, a 64-page store): a single-retrieval ANSWER round
+        # trip within 6 HELLO round trips on the same socket — it reads ~2;
+        # a flush parked behind a 2 ms timer read 43 — and never shared
+        MetricFloor("answer_over_hello_rtt", 6.0, at_most=True),
+        MetricFloor("flushes_per_request", 1.0),
+        MetricFloor("flushes_per_request", 1.0, at_most=True),
+    ],
 }
 
 

@@ -2,8 +2,10 @@
 
 Server side (:mod:`repro.serving.server`): one asyncio :class:`ShardServer`
 per database shard answering subset-mask batches through the packed
-:class:`~repro.pir.kernels.ServerKernel`, with request coalescing, bounded
-admission (``BUSY`` backpressure) and graceful drain;
+:class:`~repro.pir.kernels.ServerKernel`, with work-conserving request
+coalescing (an idle server flushes at once; what queues behind a busy
+kernel leaves as the next batch), bounded admission (``BUSY``
+backpressure) and graceful drain;
 :class:`ShardCluster` boots one server per shard.  Client side
 (:mod:`repro.serving.client`): :class:`RemotePirShard` /
 :class:`RemotePirSimulator` present the in-process simulator surface over

@@ -5,7 +5,11 @@ would: retrievals *arrive* on a fixed schedule (``rate`` per second for
 ``duration_s``), regardless of whether earlier ones have completed — the
 open-loop discipline that makes tail latency honest.  If the servers fall
 behind, requests queue and p99 grows (or the servers answer ``BUSY``);
-nothing in the generator slows the arrival process down.
+nothing in the generator slows the arrival process down.  That queue is
+also the only place server-side batches come from: a shard server flushes
+an admitted request at once when idle and merges only what arrived while
+its kernel was busy, so flush sizes in ``shard_stats`` read the load, not
+a timer.
 
 Each simulated arrival is one full two-server XOR retrieval of a random
 page: the client draws the two subset masks, ships both in one request to

@@ -10,15 +10,22 @@ only masks.
 
 Three serving behaviours matter beyond "answer the masks":
 
-* **request coalescing** — masks arriving within a small window (or until a
-  batch-size cap) are flushed through one ``answer_many`` call per file, so
-  the packed kernel runs at the batch sizes its grouped tables are built
-  for even when each client sends a single retrieval per request;
+* **request coalescing** — work-conserving, no timer: an admitted request
+  starts a flush on the next loop tick whenever none is in flight, so an
+  idle server adds no wait; the masks of every request that arrives
+  *while* a kernel call runs leave together as the next flush (one
+  ``answer_many`` call per file), so batch size follows load.  A flush too
+  small to split across ``answer_threads`` is answered on the loop thread
+  itself: requests arriving meanwhile wait in the socket buffers and are
+  all read in one tick afterwards — which is the batching — and a
+  ``BUSY`` or ``HELLO`` reply is delayed by at most that one kernel call,
+  the same wait a single answer thread imposed;
 * **admission control** — the in-flight mask queue is bounded; a request
   that would overflow it is answered ``BUSY`` immediately (explicit
   backpressure instead of unbounded buffering);
-* **graceful drain** — ``stop()`` stops accepting connections, flushes
-  every pending batch, waits until each accepted request has been
+* **graceful drain** — ``stop()`` stops accepting connections and
+  admitting requests, lets the flush in flight and every pending batch
+  finish (each exactly once), waits until each accepted request has been
   answered, then closes the remaining connections.
 
 The server runs its event loop on a background thread, so synchronous
@@ -42,13 +49,9 @@ from ..pir.sharded import ShardedPageStore
 from ..storage import Database
 from . import wire
 
-#: Seconds a freshly queued mask batch may wait for companions to coalesce.
-DEFAULT_COALESCE_WINDOW_S = 0.002
-#: Masks that trigger an immediate flush regardless of the window.
-DEFAULT_MAX_BATCH_MASKS = 512
 #: Bound on masks admitted but not yet answered (admission control).
 DEFAULT_MAX_PENDING_MASKS = 8192
-#: Kernel threads each server answers with (1 = the pre-existing behaviour).
+#: Kernel threads each server answers with (1 = on the loop thread, no pool).
 DEFAULT_ANSWER_THREADS = 1
 #: Minimum masks worth a kernel sub-call when splitting a coalesced flush —
 #: tiny chunks pay more in scheduling than the extra core returns.
@@ -65,8 +68,6 @@ class ShardServer:
         kernel: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
-        max_batch_masks: int = DEFAULT_MAX_BATCH_MASKS,
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
         log_queries: bool = False,
@@ -81,8 +82,6 @@ class ShardServer:
         self.kernel = resolve_kernel(kernel)
         self._host = host
         self._port = port
-        self.coalesce_window_s = coalesce_window_s
-        self.max_batch_masks = max_batch_masks
         self.max_pending_masks = max_pending_masks
         #: Kernel threads this server splits large coalesced flushes across.
         #: numpy releases the GIL inside the bitwise kernels, so sub-calls
@@ -107,9 +106,8 @@ class ShardServer:
         # loop-thread state
         self._pending: Dict[str, List[Tuple[Sequence[int], asyncio.Future]]] = {}
         self._pending_masks = 0
-        #: Masks queued per file since its last flush (the flush trigger).
-        self._pending_per_file: Dict[str, int] = {}
-        self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
+        #: The one task flushing ``_pending``, file by file, until it is empty.
+        self._pump: Optional["asyncio.Task[None]"] = None
         self._outstanding = 0
         self._draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -202,21 +200,22 @@ class ShardServer:
         self._stop_event = asyncio.Event()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
-        self._answer_pool = ThreadPoolExecutor(
-            max_workers=self.answer_threads,
-            thread_name_prefix=f"repro-shard-answer-{self.shard_id}",
-        )
+        if self.answer_threads > 1:  # one thread never splits: all inline
+            self._answer_pool = ThreadPoolExecutor(
+                max_workers=self.answer_threads,
+                thread_name_prefix=f"repro-shard-answer-{self.shard_id}",
+            )
         server = await asyncio.start_server(self._handle, self._host, self._port)
         sockname = server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         self._ready.set()
         await self._stop_event.wait()
-        # drain: no new connections, flush and answer what was admitted
+        # drain: no new connections or admissions; the pump (sole owner of
+        # the pending batches) answers what was admitted
         self._draining = True
         server.close()
-        await server.wait_closed()
-        for file_name in list(self._pending):
-            await self._flush(file_name)
+        if self._pump is not None:
+            await self._pump
         if self._outstanding:
             try:
                 await asyncio.wait_for(self._idle_event.wait(), timeout=10)
@@ -226,9 +225,11 @@ class ShardServer:
             task.cancel()
         if self._handler_tasks:
             await asyncio.gather(*self._handler_tasks, return_exceptions=True)
+        # last: from Python 3.12 this also waits for every connection to close
+        await server.wait_closed()
         pool, self._answer_pool = self._answer_pool, None
         if pool is not None:
-            pool.shutdown(wait=False)
+            pool.shutdown(wait=True)  # idle by now: the pump has finished
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -345,39 +346,36 @@ class ShardServer:
         self._request_started()
         self._pending.setdefault(file_name, []).append((masks, future))
         self._pending_masks += len(masks)
-        pending_here = self._pending_per_file.get(file_name, 0) + len(masks)
-        self._pending_per_file[file_name] = pending_here
-        if pending_here >= self.max_batch_masks:
-            handle = self._flush_handles.pop(file_name, None)
-            if handle is not None:
-                handle.cancel()
-            self._loop.create_task(self._flush(file_name))
-        elif file_name not in self._flush_handles:
-            self._flush_handles[file_name] = self._loop.call_later(
-                self.coalesce_window_s, self._flush_soon, file_name
-            )
+        if self._pump is None:
+            self._pump = self._loop.create_task(self._pump_pending())
         return future
 
-    def _flush_soon(self, file_name: str) -> None:
-        assert self._loop is not None
-        self._loop.create_task(self._flush(file_name))
+    async def _pump_pending(self) -> None:
+        """Flush until nothing is pending; what queues meanwhile is the next batch."""
+        try:
+            while self._pending:
+                await self._flush(next(iter(self._pending)))
+        finally:
+            self._pump = None
 
     async def _answer_flat(self, kernel: ServerKernel, flat: List[int]) -> List[bytes]:
-        """One flush's kernel work, split across the answer thread pool.
+        """One flush's kernel work: inline, or split across the answer pool.
 
         A flush worth at least two :data:`MIN_SPLIT_MASKS`-sized chunks is
         divided into contiguous sub-batches answered concurrently (numpy
         releases the GIL inside the bitwise kernels, so the sub-calls run on
         real cores) and concatenated back in request order.  Every mask's
         answer is an independent function of the immutable pack, so the
-        result is bit-identical for any thread count.
+        result is bit-identical for any thread count.  Anything smaller is
+        answered right here on the loop thread: a hand-off under the GIL
+        costs more than such a call (see the module docstring).
         """
-        assert self._loop is not None
-        pool = self._answer_pool
         parts = min(self.answer_threads, max(1, len(flat) // MIN_SPLIT_MASKS))
         if parts <= 1:
             self.kernel_subcalls += 1
-            return await self._loop.run_in_executor(pool, kernel.answer_many, flat)
+            return kernel.answer_many(flat)
+        assert self._loop is not None
+        pool = self._answer_pool
         size = -(-len(flat) // parts)
         chunks = [flat[start : start + size] for start in range(0, len(flat), size)]
         self.kernel_subcalls += len(chunks)
@@ -394,41 +392,41 @@ class ShardServer:
 
     async def _flush(self, file_name: str) -> None:
         """Answer every pending mask of one file through one kernel batch."""
-        handle = self._flush_handles.pop(file_name, None)
-        if handle is not None:
-            handle.cancel()
-        batch = self._pending.pop(file_name, [])
-        self._pending_per_file.pop(file_name, None)
-        if not batch:
-            return
-        flat: List[int] = []
-        for masks, _ in batch:
-            flat.extend(masks)
+        batch = self._pending.pop(file_name)
+        flat = [mask for masks, _ in batch for mask in masks]
         self._pending_masks -= len(flat)
-        assert self._loop is not None
         try:
             kernel = self._store.shard_kernel(self.shard_id, file_name, self.kernel)
             answers = await self._answer_flat(kernel, flat)
-        except PirError as exc:
-            failure = wire.encode_error(str(exc))
-            for _, future in batch:
-                if not future.done():
-                    future.set_result(failure)
-            return
-        if self.log_queries:
-            for mask in flat:
-                self.queries_seen.append(
-                    (file_name, self.shard_id, frozenset(mask_indices(mask)))
+            payloads = []
+            offset = 0
+            for masks, _ in batch:
+                payloads.append(
+                    wire.encode_answer_ok(answers[offset : offset + len(masks)])
                 )
-        self.flushes += 1
-        self.masks_answered += len(flat)
-        self.largest_flush = max(self.largest_flush, len(flat))
-        offset = 0
-        for masks, future in batch:
-            blocks = answers[offset : offset + len(masks)]
-            offset += len(masks)
+                offset += len(masks)
+        except Exception as exc:
+            # the boundary that must keep running: whatever the kernel call
+            # raised, this batch's clients get a reply and the pump goes on
+            if not isinstance(exc, PirError):
+                assert self._loop is not None
+                self._loop.call_exception_handler(
+                    {"message": "shard kernel call failed", "exception": exc}
+                )
+            failure = wire.encode_error(f"{type(exc).__name__}: {exc}")
+            payloads = [failure] * len(batch)
+        else:
+            if self.log_queries:
+                for mask in flat:
+                    self.queries_seen.append(
+                        (file_name, self.shard_id, frozenset(mask_indices(mask)))
+                    )
+            self.flushes += 1
+            self.masks_answered += len(flat)
+            self.largest_flush = max(self.largest_flush, len(flat))
+        for (_, future), payload in zip(batch, payloads):
             if not future.done():
-                future.set_result(wire.encode_answer_ok(blocks))
+                future.set_result(payload)
 
 
 class ShardCluster:
@@ -454,8 +452,6 @@ class ShardCluster:
         kernel: Optional[str] = None,
         host: str = "127.0.0.1",
         log_queries: bool = False,
-        coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
-        max_batch_masks: int = DEFAULT_MAX_BATCH_MASKS,
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
         answer_threads: int = DEFAULT_ANSWER_THREADS,
         share_packs: bool = False,
@@ -477,8 +473,6 @@ class ShardCluster:
                 shard_id,
                 kernel=kernel,
                 host=host,
-                coalesce_window_s=coalesce_window_s,
-                max_batch_masks=max_batch_masks,
                 max_pending_masks=max_pending_masks,
                 log_queries=log_queries,
                 answer_threads=answer_threads,

@@ -52,6 +52,9 @@ PASSING_ROUND_BATCHING = {
     "kernel_calls_per_round_file": 1.0,
 }
 
+#: An idle server's ANSWER round trip in units of a HELLO, one flush each.
+PASSING_IDLE_FLUSH = {"answer_over_hello_rtt": 2.2, "flushes_per_request": 1.0}
+
 
 def _write_envelope(directory: Path, name: str, data) -> Path:
     path = directory / f"{name}.json"
@@ -166,6 +169,15 @@ class TestCheckFloors:
         assert "answer_requests_per_plan_bound = 16.25 is above its ceiling of 1" in violations[0]
         assert "kernel_calls_per_round_file" in violations[1]
 
+    def test_a_flush_that_waits_or_is_shared_is_named(self):
+        assert check_floors({"idle_flush": PASSING_IDLE_FLUSH}) == []
+        # a flush parked behind a 2 ms timer; two requests sharing a flush
+        data = {"answer_over_hello_rtt": 43.0, "flushes_per_request": 0.5}
+        violations = check_floors({"idle_flush": data})
+        assert len(violations) == 2
+        assert "answer_over_hello_rtt = 43.00 is above its ceiling of 6" in violations[0]
+        assert "flushes_per_request = 0.50 is below its floor of 1" in violations[1]
+
     def test_unregistered_benchmark_is_ignored(self):
         results = {"micro_fastpath": PASSING_DATA, "mystery": {"speedup": 0.0}}
         assert check_floors(results) == []
@@ -189,6 +201,7 @@ class TestGateCommittedResults:
         _write_envelope(tmp_path, "micro_fastpath", PASSING_DATA)
         _write_envelope(tmp_path, "serving", PASSING_SERVING)
         _write_envelope(tmp_path, "round_batching", PASSING_ROUND_BATCHING)
+        _write_envelope(tmp_path, "idle_flush", PASSING_IDLE_FLUSH)
         (tmp_path / "broken.json").write_text("not json", encoding="utf-8")
         violations = gate_committed_results(tmp_path)
         assert len(violations) == 1
@@ -198,6 +211,7 @@ class TestGateCommittedResults:
         _write_envelope(tmp_path, "micro_fastpath", PASSING_DATA)
         _write_envelope(tmp_path, "serving", PASSING_SERVING)
         _write_envelope(tmp_path, "round_batching", PASSING_ROUND_BATCHING)
+        _write_envelope(tmp_path, "idle_flush", PASSING_IDLE_FLUSH)
         assert gate_committed_results(tmp_path) == []
 
     def test_committed_repository_baselines_pass_at_head(self):

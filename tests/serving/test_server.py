@@ -1,4 +1,4 @@
-"""Shard-server behaviour: serving, admission control, coalescing, drain.
+"""Shard-server behaviour: serving, admission control, flush batching, drain.
 
 Each test boots real servers on loopback (port 0) and talks to them over
 actual sockets — the same path production clients use.  Answers are checked
@@ -6,9 +6,11 @@ against the local packed kernel, so a passing run is also a bit-correctness
 check of the remote path.
 """
 
+import asyncio
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -166,49 +168,301 @@ class TestAdmissionControl:
             shard.close()
 
 
+class StubKernelStore(ShardedPageStore):
+    """A one-shard store view that serves whatever kernel the test installs."""
+
+    def __init__(self, database):
+        super().__init__(database, 1, "round-robin")
+        self.real = super().shard_kernel(0, "data")
+        self.stub = self.real
+
+    def shard_kernel(self, shard_id, file_name, kernel=None):
+        return self.stub
+
+
+class GatedKernel:
+    """Answers like ``kernel`` once the test opens the gate; records its threads."""
+
+    def __init__(self, kernel, gated=True):
+        self.kernel = kernel
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.threads = []
+        if not gated:
+            self.gate.set()
+
+    def answer_many(self, masks):
+        self.threads.append(threading.current_thread().name)
+        self.entered.set()
+        assert self.gate.wait(10), "the test never opened the kernel gate"
+        return self.kernel.answer_many(masks)
+
+
+class FailingOnceKernel:
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0
+
+    def answer_many(self, masks):
+        self.calls += 1
+        if self.calls == 1:
+            raise ValueError("kernel exploded")
+        return self.kernel.answer_many(masks)
+
+
+class RawConn:
+    """A connection whose send and receive halves the test drives apart.
+
+    The HELLO exchange in the constructor means the server has accepted the
+    socket and is reading it, so a later frame sits in *its* buffer.
+    """
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=10)
+        self.send(wire.encode_hello_request())
+        self.recv()
+
+    def send(self, payload):
+        self.sock.sendall(wire.encode_frame(payload))
+
+    def ask(self, masks):
+        self.send(wire.encode_answer_request("data", masks))
+
+    def recv(self):
+        # a PirError ("closed the connection") at EOF, like any client
+        header = ShardConnection._recv_exact(self.sock, wire.HEADER_SIZE)
+        return ShardConnection._recv_exact(self.sock, wire.decode_frame_length(header))
+
+    def answers(self):
+        return wire.decode_answer_response(self.recv())
+
+    def at_eof(self):
+        return self.sock.recv(1) == b""
+
+    def close(self):
+        self.sock.close()
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never came true"
+        time.sleep(0.001)
+
+
+def shard_threads():
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("repro-shard-answer", "repro-shard-server"))
+    ]
+
+
+#: Loopback delivers a sent frame to the peer's buffer within the send call
+#: or a softirq later; the gated tests wait this long before opening the gate.
+LOOPBACK_SETTLE_S = 0.05
+
+
 class TestCoalescing:
-    def test_concurrent_requests_flush_as_one_batch(self):
-        database = make_database(num_pages=16)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(
-            store, shard_id=0, coalesce_window_s=0.25, max_batch_masks=64
-        ) as server:
-            results = []
-            barrier = threading.Barrier(2)
+    """Work-conserving flushes: batches form only behind a busy kernel."""
 
-            def one_request():
-                conn = ShardConnection(server.address)
-                barrier.wait()
-                payload = conn.request(wire.encode_answer_request("data", [0b1, 0b10]))
-                results.append(wire.decode_answer_response(payload))
+    def test_requests_behind_a_busy_kernel_leave_as_one_batch(self):
+        store = StubKernelStore(make_database(num_pages=16))
+        store.stub = gated = GatedKernel(store.real)
+        rng = random.Random(11)
+        requests = [[rng.getrandbits(16), rng.getrandbits(16)] for _ in range(5)]
+        with ShardServer(store, shard_id=0) as server:
+            first = RawConn(server.address)
+            others = [RawConn(server.address) for _ in requests]
+            first.ask([0b1])
+            assert gated.entered.wait(10)
+            # the kernel call holds the loop: these wait in the socket buffers
+            for conn, masks in zip(others, requests):
+                conn.ask(masks)
+            time.sleep(LOOPBACK_SETTLE_S)
+            gated.gate.set()
+            assert first.answers() == store.real.answer_many([0b1])
+            for conn, masks in zip(others, requests):
+                assert conn.answers() == store.real.answer_many(masks)
+            for conn in [first] + others:
                 conn.close()
-
-            threads = [threading.Thread(target=one_request) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
             stats = server.stats()
-        assert len(results) == 2 and all(len(r) == 2 for r in results)
-        assert stats["masks_answered"] == 4
-        # both requests landed inside one coalescing window
-        assert stats["flushes"] == 1
-        assert stats["largest_flush"] == 4
+        assert stats["flushes"] == 2
+        assert stats["largest_flush"] == sum(len(masks) for masks in requests)
+        assert stats["masks_answered"] == 1 + stats["largest_flush"]
 
-    def test_full_batch_flushes_without_waiting_for_the_window(self):
-        database = make_database(num_pages=8)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(
-            store, shard_id=0, coalesce_window_s=30.0, max_batch_masks=2
-        ) as server:
+    def test_idle_server_flushes_every_request_at_once(self, monkeypatch):
+        timers = []
+        call_later = asyncio.BaseEventLoop.call_later
+
+        def recording_call_later(loop, delay, callback, *args, **kwargs):
+            timers.append((threading.current_thread().name, delay))
+            return call_later(loop, delay, callback, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_later", recording_call_later)
+        store = ShardedPageStore(make_database(num_pages=8), 1, "round-robin")
+        with ShardServer(store, shard_id=0) as server:
             conn = ShardConnection(server.address)
-            # 2 masks == max_batch_masks: flushes immediately despite the
-            # pathological 30s window
-            answers = wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", [1, 2]))
-            )
-            assert len(answers) == 2
+            for mask in range(1, 21):
+                answers = wire.decode_answer_response(
+                    conn.request(wire.encode_answer_request("data", [mask]))
+                )
+                assert len(answers) == 1
             conn.close()
+            stats = server.stats()
+            timers_while_serving = list(timers)
+        assert stats["flushes"] == 20
+        assert stats["largest_flush"] == 1
+        # no flush ever waited on a timer: the server scheduled none
+        assert timers_while_serving == []
+
+    def test_one_answer_thread_answers_on_the_loop_thread_without_a_pool(self):
+        store = StubKernelStore(make_database(num_pages=12))
+        store.stub = recorder = GatedKernel(store.real, gated=False)
+        masks = list(range(1, 151))  # splittable, were there threads to split over
+        with ShardServer(store, shard_id=0, answer_threads=1) as server:
+            conn = ShardConnection(server.address)
+            answers = wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", masks))
+            )
+            conn.close()
+            assert shard_threads() == ["repro-shard-server-0"]
+            stats = server.stats()
+        assert answers == store.real.answer_many(masks)
+        assert recorder.threads == ["repro-shard-server-0"]
+        assert stats["kernel_subcalls"] == stats["flushes"] == 1
+
+    def test_two_answer_threads_split_a_large_flush_on_the_pool(self):
+        from repro.serving.server import MIN_SPLIT_MASKS
+
+        store = StubKernelStore(make_database(num_pages=12))
+        store.stub = recorder = GatedKernel(store.real, gated=False)
+        rng = random.Random(7)
+        masks = [rng.getrandbits(12) for _ in range(2 * MIN_SPLIT_MASKS)]
+        with ShardServer(store, shard_id=0, answer_threads=2) as server:
+            conn = ShardConnection(server.address)
+            answers = wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", masks))
+            )
+            small = wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", masks[:3]))
+            )
+            conn.close()
+            stats = server.stats()
+        assert answers == store.real.answer_many(masks)
+        assert small == store.real.answer_many(masks[:3])
+        assert stats["flushes"] == 2
+        assert stats["kernel_subcalls"] == 3
+        # the split ran on the pool, the unsplittable flush inline
+        assert sorted(name[:21] for name in recorder.threads) == [
+            "repro-shard-answer-0_",
+            "repro-shard-answer-0_",
+            "repro-shard-server-0",
+        ]
+
+    def test_admission_bound_holds_for_requests_read_in_one_tick(self):
+        store = StubKernelStore(make_database(num_pages=16))
+        store.stub = gated = GatedKernel(store.real)
+        with ShardServer(store, shard_id=0, max_pending_masks=8) as server:
+            first = RawConn(server.address)
+            others = [RawConn(server.address) for _ in range(5)]
+            first.ask([0b1])
+            assert gated.entered.wait(10)
+            for conn in others:  # 10 masks against a bound of 8
+                conn.ask([0b10, 0b100])
+            time.sleep(LOOPBACK_SETTLE_S)
+            gated.gate.set()
+            assert first.answers() == store.real.answer_many([0b1])
+            busy = 0
+            for conn in others:
+                try:
+                    assert conn.answers() == store.real.answer_many([0b10, 0b100])
+                except ServerBusy:
+                    busy += 1
+            for conn in [first] + others:
+                conn.close()
+            stats = server.stats()
+        assert busy == stats["busy_rejections"] == 1
+        assert stats["masks_answered"] == 1 + 8
+
+
+class TestKernelFailure:
+    def test_any_kernel_exception_answers_error_and_the_server_carries_on(self):
+        store = StubKernelStore(make_database(num_pages=8))
+        store.stub = FailingOnceKernel(store.real)
+        server = ShardServer(store, shard_id=0)
+        conn = ShardConnection(server.start(), timeout=5.0)
+        with pytest.raises(RemoteServerError, match="ValueError: kernel exploded"):
+            wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", [0b11]))
+            )
+        answers = wire.decode_answer_response(
+            conn.request(wire.encode_answer_request("data", [0b101]))
+        )
+        conn.close()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 5.0  # nothing left undrained
+        assert answers == store.real.answer_many([0b101])
+        assert server.stats()["flushes"] == 1
+        assert server.stats()["requests_served"] == 2
+
+
+class TestDrain:
+    """``stop()`` mid-call: the pump is the drain, each batch has one owner."""
+
+    @pytest.mark.parametrize("answer_threads", [1, 2])
+    def test_stop_mid_call_answers_every_admitted_request_exactly_once(
+        self, answer_threads
+    ):
+        from repro.serving.server import MIN_SPLIT_MASKS
+
+        store = StubKernelStore(make_database(num_pages=16))
+        store.stub = gated = GatedKernel(store.real)
+        rng = random.Random(13)
+        # two threads: the first call splits onto the pool and the loop stays
+        # free to admit more behind it; one thread: it holds the loop itself
+        on_pool = answer_threads > 1
+        first_masks = [
+            rng.getrandbits(16) for _ in range(2 * MIN_SPLIT_MASKS if on_pool else 1)
+        ]
+        queued_masks = [[rng.getrandbits(16)] * 2 for _ in range(3 if on_pool else 0)]
+        server = ShardServer(store, shard_id=0, answer_threads=answer_threads)
+        server.start()
+        first = RawConn(server.address)
+        queued = [RawConn(server.address) for _ in queued_masks]
+        late = RawConn(server.address)
+        first.ask(first_masks)
+        assert gated.entered.wait(10)
+        for conn, masks in zip(queued, queued_masks):
+            conn.ask(masks)
+        wait_until(lambda: server._pending_masks == 2 * len(queued_masks))
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        stopper.join(0.2)
+        assert stopper.is_alive()  # stop() waits for the call in flight
+        late.ask([0b1])
+        if on_pool:  # answered at once; inline, as soon as the loop is back
+            with pytest.raises(RemoteServerError, match="draining"):
+                late.answers()
+        gated.gate.set()
+        stopper.join(5.0)
+        assert not stopper.is_alive()
+        assert shard_threads() == []
+        assert first.answers() == store.real.answer_many(first_masks)
+        for conn, masks in zip(queued, queued_masks):
+            assert conn.answers() == store.real.answer_many(masks)
+        if not on_pool:
+            # read only once the loop was back, after the drain began: refused
+            # (the ERROR, or the close if the drain had nothing left to wait for)
+            with pytest.raises(PirError, match="draining|closed the connection"):
+                late.answers()
+        for conn in [first, late] + queued:
+            assert conn.at_eof()  # exactly one reply each, then the close
+            conn.close()
+        stats = server.stats()
+        assert stats["flushes"] == (2 if on_pool else 1)
+        assert stats["masks_answered"] == len(first_masks) + 2 * len(queued_masks)
 
 
 class TestQueryLogging:
