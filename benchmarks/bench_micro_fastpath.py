@@ -395,10 +395,10 @@ def run_xor_kernel_microbench(
     database of ``num_blocks`` blocks and times the pure server hot path —
     ``answer_many`` over a batch of masks — for the big-int reference kernel
     and the packed bit-matrix kernel at every batch size of the curve.  The
-    curve spans both packed strategies (the fancy-index table gather below
-    ``GROUP_LOOP_MIN_BATCH``, the per-group accumulate loop above it); the
-    headline speedup is read at the largest batch, the regime batched engine
-    serving actually runs in.  Answers are asserted bit-identical per batch.
+    packed kernel answers every point through its one table strategy (the
+    cache-blocked group-major gather); the headline speedup is read at the
+    largest batch, the regime batched engine serving actually runs in.
+    Answers are asserted bit-identical per batch.
 
     Without numpy only the big-int side runs and the result records
     ``kernel == "bigint"`` with no speedup (the perf gate skips its floor).
@@ -445,6 +445,66 @@ def run_xor_kernel_microbench(
     return result
 
 
+def run_xor_kernel_pi_microbench(
+    num_blocks=35140, block_bytes=256, batch_sizes=(1, 2, 18, 64, 256), seed=23
+):
+    """The packed kernel on a PI-shaped pack: does a batch pay per mask?
+
+    The passage-index scheme's index file is ~35k blocks of 256 bytes: too
+    big for 8-bit group tables within the budget, so the pack carries 36 MB
+    of 4-bit tables and the kernel is bound by walking them, not by CPU.  A
+    PI query sends one 18-mask batch (9 index pages x 2 shares) over that
+    pack.  The curve times ``answer_rows`` at each batch size;
+    ``batch_penalty`` is the per-mask time at batch 18 over the time of a
+    single mask.  A kernel that walks the tables once per *mask* reads >= 1
+    (the mask-major gather this replaced read ~1.5); walking them once per
+    *batch*, group-major, reads ~0.7.  The ceiling (<= 1: a batch must never
+    cost more per mask than single masks) is machine-independent.  A sample
+    of every batch's answers is asserted equal to the big-int oracle.
+
+    Without numpy there is no packed kernel; the result records
+    ``kernel == "bigint"`` and the perf gate skips the ceiling.
+    """
+    result = {"blocks": num_blocks, "block_bytes": block_bytes}
+    if not numpy_available():
+        result.update(
+            kernel="bigint", curve=[], fast_s=0.0, reference_s=0.0, speedup=1.0
+        )
+        return result
+
+    rng = random.Random(seed)
+    blocks = [rng.randbytes(block_bytes) for _ in range(num_blocks)]
+    masks = random_subset_masks(random.Random(seed), num_blocks, max(batch_sizes))
+    packed = make_kernel(blocks, kernel="numpy")
+    oracle = make_kernel(blocks, kernel="bigint")
+
+    curve = []
+    for batch in batch_sizes:
+        sample = masks[:batch]
+        seconds, rows = _time(lambda: packed.answer_rows(sample), repeats=5)
+        answers = packed.rows_to_blocks(rows)
+        for position in {0, batch // 2, batch - 1}:
+            assert answers[position] == oracle.answer_mask(sample[position]), \
+                "packed kernel disagrees with the big-int oracle"
+        curve.append(
+            {"batch": batch, "numpy_s": seconds, "us_per_mask": seconds / batch * 1e6}
+        )
+
+    by_batch = {point["batch"]: point["numpy_s"] for point in curve}
+    result.update(
+        kernel="numpy",
+        group_bits=packed._group_bits,
+        table_bytes=int(packed._tables.nbytes),
+        curve=curve,
+        # 18 single-mask calls vs. one 18-mask batch
+        reference_s=by_batch[1] * 18,
+        fast_s=by_batch[18],
+        speedup=by_batch[1] * 18 / by_batch[18],
+        batch_penalty=by_batch[18] / 18 / by_batch[1],
+    )
+    return result
+
+
 def run_tiled_fallback_microbench(
     num_blocks=8192, block_bytes=128, batch_sizes=(8, 32, 128, 512), seed=29
 ):
@@ -459,7 +519,8 @@ def run_tiled_fallback_microbench(
     cost is linear in the batch; the tiled product pays one throwaway table
     build per tile for the *whole* batch, which is why the curve crosses
     over around ``TILED_MIN_BATCH`` and the headline speedup is read at the
-    largest batch (the coalesced serving regime).  Every point is asserted
+    largest batch (the coalesced serving regime).  The tiled product answers
+    through the same blocked gather as resident tables, one tile per block.  Every point is asserted
     bit-identical between both paths and against the big-int oracle.
 
     Without numpy there is no packed kernel at all; the result records
@@ -720,6 +781,7 @@ def _run_all():
     results.update({f"batch_{name}": result for name, result in schemes.items()})
     results["sharded_pir"] = sharded
     results["xor_kernel"] = run_xor_kernel_microbench()
+    results["xor_kernel_pi"] = run_xor_kernel_pi_microbench()
     results["tiled_fallback"] = run_tiled_fallback_microbench()
     results["shared_pack"] = run_shared_pack_microbench()
     results["warm_pool"] = run_warm_pool_microbench()

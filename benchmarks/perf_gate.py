@@ -62,6 +62,16 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         # the vectorized server kernel: >=10x over the big-int fold at the
         # largest batch of the curve, wherever numpy exists to build it
         MetricFloor("xor_kernel.speedup", 10.0, when=("xor_kernel.kernel", "numpy")),
+        # a PI-shaped pack (35k blocks, 36 MB of 4-bit tables): a batch must
+        # never cost more per mask than a single mask — per-mask time at
+        # batch 18 over the batch-1 time.  Walking the tables once per batch
+        # reads ~0.7; a kernel that walks them once per mask reads ~1.5
+        MetricFloor(
+            "xor_kernel_pi.batch_penalty",
+            1.0,
+            when=("xor_kernel_pi.kernel", "numpy"),
+            at_most=True,
+        ),
         # beyond the table budget: the tiled GF(2) product must beat the
         # per-mask row gather >=3x at the largest (serving-sized) batch
         MetricFloor(

@@ -9,14 +9,14 @@ iterations.  This module replaces that loop with a packed kernel:
 * :class:`PackedDatabase` packs the block database into one C-contiguous
   ``(num_blocks, words)`` ``numpy.uint64`` array and pre-computes *group
   tables* — for every group of ``g`` consecutive blocks, the XOR of each of
-  the ``2**g`` block combinations.  A batch of masks then becomes two
-  vectorized array operations: a fancy-indexed gather of one table row per
-  (mask, group) followed by one ``bitwise_xor.reduce`` over the group axis.
-  No Python loop runs per mask or per block, and a mask over ``N`` blocks
-  touches ``N/g`` table rows instead of ``N/2`` blocks.  When the table
-  budget (:attr:`PackedDatabase.MAX_TABLE_BYTES`) does not cover the
-  database, the kernel degrades to a per-mask ``bitwise_xor.reduce`` over
-  the mask-selected rows — still vectorized over the blocks of each answer.
+  the ``2**g`` block combinations.  A batch of masks is answered by one
+  strategy at every batch size, a cache-blocked group-major gather
+  (:meth:`PackedDatabase._xor_table_rows`): the tables are walked once per
+  batch, not once per mask, with no Python loop per mask or per block, and
+  a mask over ``N`` blocks touches ``N/g`` table rows instead of ``N/2``
+  blocks.  Past the table budget (:attr:`PackedDatabase.MAX_TABLE_BYTES`)
+  small batches reduce each mask's selected rows and larger ones run the
+  same gather over throwaway per-tile tables.
 * :class:`BigIntKernel` is the pre-existing big-int fold, kept verbatim as
   the reference oracle; property tests pin the packed kernel bit-identical
   to it (answers, error behaviour and adversary-view logs).
@@ -216,6 +216,36 @@ def _untrack_shared_memory(segment: Any) -> None:
         pass
 
 
+def _attach_segment(name: str, nbytes: int) -> Any:
+    """Map a segment of at least ``nbytes``, or raise ``PirError`` naming it."""
+    try:
+        segment = _shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        raise PirError(
+            f"shared pack segment {name!r} does not exist "
+            "(owner gone or already unlinked)"
+        ) from None
+    if not _PACK_REGISTRY.owns_segment(name):
+        _untrack_shared_memory(segment)
+    if segment.size < nbytes:
+        segment.close()
+        raise PirError(
+            f"shared pack segment {name!r} does not match its handle "
+            f"(size mismatch: {segment.size} bytes mapped, {nbytes} expected)"
+        )
+    return segment
+
+
+def _share(array: Any) -> Tuple[Any, Any]:
+    """Copy ``array`` into a new segment this process owns: ``(segment, view)``."""
+    segment = _shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
+    shared = _np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+    shared[:] = array
+    shared.setflags(write=False)
+    _PACK_REGISTRY.note_owned(segment.name)
+    return segment, shared
+
+
 class PackedDatabase:
     """The packed numpy kernel: group-table GF(2) mask-matrix answering.
 
@@ -232,8 +262,8 @@ class PackedDatabase:
     #: gather.  Overridable per instance (``max_table_bytes=``) or via the
     #: ``REPRO_PIR_MAX_TABLE_BYTES`` environment variable.
     MAX_TABLE_BYTES = 64 * 1024 * 1024
-    #: Temporary-gather budget per ``answer_rows`` chunk.
-    CHUNK_BYTES = 8 * 1024 * 1024
+    #: Bytes per gather block: keeps the ``(block, B, words)`` scratch in cache.
+    GATHER_SCRATCH_BYTES = 512 * 1024
 
     def __init__(
         self, rows: Any, block_size: int, max_table_bytes: Optional[int] = None
@@ -242,22 +272,25 @@ class PackedDatabase:
             raise PirError("the numpy PIR kernel requires numpy")
         if rows.ndim != 2 or rows.dtype != _np.uint64 or rows.shape[0] < 1:
             raise PirError("packed databases are non-empty 2-D uint64 arrays")
-        rows = _np.ascontiguousarray(rows)
+        budget = self._resolve_table_budget(max_table_bytes)
+        self._set_rows(_np.ascontiguousarray(rows), block_size, budget)
+        self._build_tables()
+        _PACK_REGISTRY.note_build()
+
+    def _set_rows(self, rows: Any, block_size: int, max_table_bytes: int) -> None:
+        """Install the read-only bit-matrix and the fields of a private pack."""
         rows.setflags(write=False)
         self._rows = rows
         self.num_blocks = int(rows.shape[0])
         self.words = int(rows.shape[1])
         self.block_size = int(block_size)
         self._mask_bytes = (self.num_blocks + 7) // 8
-        self._max_table_bytes = self._resolve_table_budget(max_table_bytes)
-        self._fingerprint: Optional[int] = None
+        self._max_table_bytes = max_table_bytes
         self._shm_rows: Any = None
         self._shm_tables: Any = None
         self._owns_segments = False
         #: The handle this pack lives behind (``None`` for private packs).
         self.shared_handle: Optional["SharedPackHandle"] = None
-        self._build_tables()
-        _PACK_REGISTRY.note_build()
 
     @classmethod
     def _resolve_table_budget(cls, max_table_bytes: Optional[int]) -> int:
@@ -325,36 +358,53 @@ class PackedDatabase:
 
     def _build_tables(self) -> None:
         """Pre-compute per-group XOR combination tables (adaptive width)."""
-        np = _np
-        n, words = self.num_blocks, self.words
-        self._group_bits: Optional[int] = None
-        self._tables: Any = None
         for bits in (8, 4, 2):
-            groups = -(-n // bits)
-            if groups * (1 << bits) * words * 8 <= self._max_table_bytes:
-                self._group_bits = bits
-                break
-        if self._group_bits is None:
-            return
-        bits, groups = self._group_bits, -(-n // self._group_bits)
-        padded = np.zeros((groups * bits, words), dtype=np.uint64)
-        padded[:n] = self._rows
-        grouped = padded.reshape(groups, bits, words)
-        tables = np.zeros((groups, 1 << bits, words), dtype=np.uint64)
+            groups = -(-self.num_blocks // bits)
+            if groups * (1 << bits) * self.words * 8 <= self._max_table_bytes:
+                self._set_tables(self._combination_tables(self._rows, bits), bits)
+                return
+        self._set_tables(None, None)
+
+    @staticmethod
+    def _combination_tables(rows: Any, bits: int, out: Any = None) -> Any:
+        """The XOR of every combination of each ``bits`` consecutive rows.
+
+        Returns ``(groups, 2**bits, words)``; the last group is padded with
+        zero rows, so every digit of every group has an entry.  ``out`` is a
+        zeroed, reusable buffer to build into (entry 0 is never written).
+        """
+        np = _np
+        n, words = rows.shape
+        groups = -(-n // bits)
+        if groups * bits != n:
+            padded = np.zeros((groups * bits, words), dtype=np.uint64)
+            padded[:n] = rows
+            rows = padded
+        grouped = rows.reshape(groups, bits, words)
+        if out is None:
+            out = np.zeros((groups, 1 << bits, words), dtype=np.uint64)
+        tables = out[:groups]
         for k in range(bits):
             size = 1 << k
-            tables[:, size : 2 * size] = tables[:, :size] ^ grouped[:, k, None, :]
-        tables.setflags(write=False)
-        self._tables = tables
-        self._group_range = np.arange(groups)
+            np.bitwise_xor(
+                tables[:, :size], grouped[:, k, None, :], out=tables[:, size : 2 * size]
+            )
+        return tables
+
+    def _set_tables(self, tables: Any, bits: Optional[int]) -> None:
+        """Install (or drop) read-only group tables and each group's first row."""
+        self._tables: Any = tables
+        self._group_bits: Optional[int] = bits
+        self._group_base: Any = None
+        if tables is not None:
+            tables.setflags(write=False)
+            self._group_base = _np.arange(tables.shape[0]) * tables.shape[1]
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the packed image plus its group tables."""
-        total = int(self._rows.nbytes)
-        if self._tables is not None:
-            total += int(self._tables.nbytes)
-        return total
+        tables = 0 if self._tables is None else self._tables.nbytes
+        return int(self._rows.nbytes + tables)
 
     # ------------------------------------------------------------------ #
     # answering
@@ -369,11 +419,10 @@ class PackedDatabase:
         )
         return np.frombuffer(buffer, dtype=np.uint8).reshape(len(masks), size)
 
-    def _digits(self, mask_matrix: Any) -> Any:
+    def _digits(self, mask_matrix: Any, bits: int) -> Any:
         """Per-(mask, group) table indices from the packed mask bytes."""
         np = _np
-        bits = self._group_bits
-        groups = self._tables.shape[0]
+        groups = -(-self.num_blocks // bits)
         if bits == 8:
             return mask_matrix[:, :groups]
         per_byte = 8 // bits
@@ -381,34 +430,23 @@ class PackedDatabase:
         parts = [(mask_matrix >> (k * bits)) & low_mask for k in range(per_byte)]
         return np.stack(parts, axis=2).reshape(mask_matrix.shape[0], -1)[:, :groups]
 
-    #: Batch size above which the per-group accumulate loop beats the
-    #: materialized table gather (the loop's per-group numpy overhead is
-    #: amortized over the batch, and it never builds the (B, G, W) temp).
-    GROUP_LOOP_MIN_BATCH = 64
-
-    #: Beyond the table budget: batch size at which the tiled GF(2) product
-    #: overtakes the per-mask row gather (the gather touches ~N/2 rows per
-    #: mask; the tiled product pays one table build per tile for the whole
-    #: batch, which needs a batch to amortize over).
-    TILED_MIN_BATCH = 32
+    #: Beyond the table budget: batch size from which the tiled GF(2) product
+    #: answers instead of the per-mask row gather (the gather touches ~N/2
+    #: rows per mask; the tiled product pays one table build per tile for the
+    #: whole batch).  Measured crossover: 6 masks at >= 8k blocks, 12 at 160.
+    TILED_MIN_BATCH = 12
     #: Group width of the tiled product's throwaway tables — 16-entry
     #: tables keep the per-tile build cheap while quartering the row reads.
     TILE_GROUP_BITS = 4
-    #: Per-tile byte budget of the tiled product's throwaway tables; bounds
-    #: peak extra memory no matter how far past the budget the pack is.
-    TILE_TABLE_BYTES = 4 * 1024 * 1024
 
     def answer_rows(self, masks: Sequence[int]) -> Any:
         """Answers for a batch of masks as a ``(B, words)`` uint64 array.
 
-        This is the whole server hot path, with no per-mask Python work:
-        small batches run one fancy-index table gather plus one
-        ``bitwise_xor.reduce``; large batches instead accumulate group by
-        group (``acc ^= tables[g, digits[:, g]]``), which skips the
-        ``(B, groups, words)`` temporary entirely and is ~2x faster once the
-        per-group numpy call overhead is amortized over the batch.  Packs
-        beyond the table budget answer small batches with per-mask row
-        gathers and serving-sized batches with the tiled GF(2) product.
+        The whole server hot path, with no per-mask Python work.  Packs with
+        group tables have one strategy at every batch size: the blocked
+        gather of :meth:`_xor_table_rows`.  Beyond the table budget, batches
+        below :attr:`TILED_MIN_BATCH` run per-mask row gathers and larger
+        ones the tiled GF(2) product (the same gather over per-tile tables).
         """
         np = _np
         batch = len(masks)
@@ -416,30 +454,57 @@ class PackedDatabase:
         if batch == 0:
             return out
         mask_matrix = self._mask_matrix(masks)
-        if self._tables is not None:
-            groups = self._tables.shape[0]
-            digits = self._digits(mask_matrix)
-            if batch >= self.GROUP_LOOP_MIN_BATCH:
-                tables = self._tables
-                for group in range(groups):
-                    out ^= tables[group, digits[:, group]]
-                return out
-            chunk = max(1, self.CHUNK_BYTES // (groups * self.words * 8))
-            for start in range(0, batch, chunk):
-                gathered = self._tables[
-                    self._group_range, digits[start : start + chunk]
-                ]
-                np.bitwise_xor.reduce(
-                    gathered, axis=1, out=out[start : start + chunk]
-                )
-            return out
-        # beyond the table budget the strategy is again batch-adaptive: a
-        # row gather touches only ~N/2 rows per mask, so it wins for small
-        # batches; serving-sized batches run the tiled GF(2) product, whose
-        # per-tile table builds amortize over the whole batch
-        if batch < self.TILED_MIN_BATCH:
-            return self._answer_rows_gather(mask_matrix, out)
-        return self._answer_rows_tiled(mask_matrix, out)
+        if self._tables is None:
+            if batch < self.TILED_MIN_BATCH:
+                return self._answer_rows_gather(mask_matrix, out)
+            return self._answer_rows_tiled(mask_matrix, out)
+        flat = self._tables.reshape(-1, self.words)
+        index = self._digits(mask_matrix, self._group_bits).T + self._group_base[:, None]
+        block = self._gather_block(len(index), batch)
+        return self._xor_table_rows(lambda start: flat, index, block, out)
+
+    def _gather_block(self, groups: int, rows_per_group: int) -> int:
+        """Groups per gather block: ``rows_per_group`` rows each, within budget."""
+        block = self.GATHER_SCRATCH_BYTES // (rows_per_group * self.words * 8)
+        return max(1, min(groups, block))
+
+    def _xor_table_rows(
+        self, tables_at: Callable[[int], Any], index: Any, block: int, out: Any
+    ) -> Any:
+        """XOR table rows into ``out``, group-major, ``block`` groups at a time.
+
+        ``index[group, mask]`` is a row number into ``tables_at(start)``, the
+        ``(rows, words)`` table image of the block of groups at ``start``.
+        Each block is gathered into a scratch buffer, folded over its groups
+        and XORed into ``out``: a group's table page is read once and serves
+        all ``B`` masks while it is hot, and the scratch (allocated once per
+        call, like ``partial``) stays within :attr:`GATHER_SCRATCH_BYTES`.
+
+        ``mode="clip"`` never clips; it skips numpy's bounds pass, which
+        under ``mode="raise"`` also buffers ``out=`` through a second copy.
+        Row numbers are in range by construction: every mask passed
+        :func:`validate_subset_mask`, so ``digit < entries``, and the tables
+        cover the zero-padded tail rows (``test_blocked_gather.py`` pins it).
+        """
+        np = _np
+        shape = (block,) + out.shape
+        if block == index.shape[0]:
+            scratch = np.empty(shape, dtype=np.uint64)
+        else:
+            # malloc aligns to 16 bytes; a scratch that splits 32-byte stores
+            # makes the walk ~20% slower in the processes that draw one, so a
+            # reused scratch starts on a cache line (~2 us: one-shot walks skip it)
+            raw = np.empty(block * out.size + 8, dtype=np.uint64)
+            skip = -raw.ctypes.data % 64 // 8
+            scratch = raw[skip : skip + block * out.size].reshape(shape)
+        partial = np.empty_like(out)
+        for start in range(0, index.shape[0], block):
+            rows = index[start : start + block]
+            gathered = scratch[: rows.shape[0]]
+            np.take(tables_at(start), rows, axis=0, out=gathered, mode="clip")
+            np.bitwise_xor.reduce(gathered, axis=0, out=partial)
+            out ^= partial
+        return out
 
     def _answer_rows_gather(self, mask_matrix: Any, out: Any) -> Any:
         """Gather each mask's selected rows and reduce them (small batches)."""
@@ -452,43 +517,29 @@ class PackedDatabase:
         return out
 
     def _answer_rows_tiled(self, mask_matrix: Any, out: Any) -> Any:
-        """The tiled GF(2) mask-matrix × database product (large batches).
+        """The tiled GF(2) mask-matrix × database product (beyond the budget).
 
-        Streams the database in cache-blocked tiles of block groups: each
-        tile builds its :attr:`TILE_GROUP_BITS`-wide XOR combination tables
-        on the fly (the same doubling construction as the resident tables),
-        answers the whole batch through them with packed ``bitwise_xor``
-        accumulation, and discards them.  Big shards get the same batch
-        economics as table-covered ones while peak extra memory stays
-        bounded by :attr:`TILE_TABLE_BYTES`.
+        Each tile of block groups builds its :attr:`TILE_GROUP_BITS`-wide
+        combination tables on the fly and answers the whole batch through
+        them as one block of the blocked gather.  Tile tables and scratch
+        each stay within :attr:`GATHER_SCRATCH_BYTES` however big the pack.
         """
         np = _np
         bits = self.TILE_GROUP_BITS
-        batch, words = mask_matrix.shape[0], self.words
-        groups = -(-self.num_blocks // bits)
-        per_byte = 8 // bits
-        low_mask = (1 << bits) - 1
-        parts = [(mask_matrix >> (k * bits)) & low_mask for k in range(per_byte)]
-        # (groups, batch), contiguous per group: the accumulate loop below
-        # indexes one group's digit column at a time
-        digits = np.ascontiguousarray(
-            np.stack(parts, axis=2).reshape(batch, -1)[:, :groups].T
-        )
-        tile = max(1, self.TILE_TABLE_BYTES // ((1 << bits) * words * 8))
-        for start in range(0, groups, tile):
-            stop = min(groups, start + tile)
-            count = stop - start
-            first, last = start * bits, min(self.num_blocks, stop * bits)
-            padded = np.zeros((count * bits, words), dtype=np.uint64)
-            padded[: last - first] = self._rows[first:last]
-            grouped = padded.reshape(count, bits, words)
-            tables = np.zeros((count, 1 << bits, words), dtype=np.uint64)
-            for k in range(bits):
-                size = 1 << k
-                tables[:, size : 2 * size] = tables[:, :size] ^ grouped[:, k, None, :]
-            for group in range(count):
-                out ^= tables[group, digits[start + group]]
-        return out
+        entries = 1 << bits
+        digits = self._digits(mask_matrix, bits)
+        groups = digits.shape[1]
+        tile = self._gather_block(groups, max(mask_matrix.shape[0], entries))
+        # row numbers are tile-relative: every tile's tables start at row 0
+        index = digits.T + (np.arange(groups) % tile * entries)[:, None]
+        buffer = np.zeros((tile, entries, self.words), dtype=np.uint64)
+
+        def tile_tables(start: int) -> Any:
+            rows = self._rows[start * bits : (start + tile) * bits]
+            tables = self._combination_tables(rows, bits, out=buffer)
+            return tables.reshape(-1, self.words)
+
+        return self._xor_table_rows(tile_tables, index, tile, out)
 
     def rows_to_blocks(self, rows: Any) -> List[bytes]:
         """Slice a ``(B, words)`` answer array into per-answer block bytes.
@@ -535,42 +586,22 @@ class PackedDatabase:
         """
         if self.shared_handle is not None:
             return self.shared_handle
-        np = _np
-        rows = self._rows
-        shm_rows = _shared_memory.SharedMemory(create=True, size=max(1, rows.nbytes))
-        shared_rows = np.ndarray(rows.shape, dtype=np.uint64, buffer=shm_rows.buf)
-        shared_rows[:] = rows
-        shared_rows.setflags(write=False)
-        rows_crc = zlib.crc32(memoryview(shm_rows.buf)[: rows.nbytes])
-        self._shm_rows = shm_rows
-        self._rows = shared_rows
+        self._shm_rows, self._rows = _share(self._rows)
         tables_name: Optional[str] = None
         if self._tables is not None:
-            tables = self._tables
-            shm_tables = _shared_memory.SharedMemory(
-                create=True, size=max(1, tables.nbytes)
-            )
-            shared_tables = np.ndarray(
-                tables.shape, dtype=np.uint64, buffer=shm_tables.buf
-            )
-            shared_tables[:] = tables
-            shared_tables.setflags(write=False)
-            self._shm_tables = shm_tables
-            self._tables = shared_tables
-            tables_name = shm_tables.name
+            self._shm_tables, tables = _share(self._tables)
+            self._set_tables(tables, self._group_bits)
+            tables_name = self._shm_tables.name
         self._owns_segments = True
-        _PACK_REGISTRY.note_owned(shm_rows.name)
-        if tables_name is not None:
-            _PACK_REGISTRY.note_owned(tables_name)
         self.shared_handle = SharedPackHandle(
-            rows_name=shm_rows.name,
+            rows_name=self._shm_rows.name,
             tables_name=tables_name,
             num_blocks=self.num_blocks,
             words=self.words,
             block_size=self.block_size,
             group_bits=self._group_bits,
             max_table_bytes=self._max_table_bytes,
-            rows_crc=rows_crc,
+            rows_crc=zlib.crc32(memoryview(self._shm_rows.buf)[: self._rows.nbytes]),
         )
         return self.shared_handle
 
@@ -588,60 +619,34 @@ class PackedDatabase:
         if _np is None:
             raise PirError("attaching a shared pack requires numpy")
         np = _np
-        try:
-            shm_rows = _shared_memory.SharedMemory(name=handle.rows_name)
-        except FileNotFoundError:
-            raise PirError(
-                f"shared pack segment {handle.rows_name!r} does not exist "
-                "(owner gone or already unlinked)"
-            ) from None
-        if not _PACK_REGISTRY.owns_segment(handle.rows_name):
-            _untrack_shared_memory(shm_rows)
         nbytes = handle.num_blocks * handle.words * 8
-        if shm_rows.size < nbytes or zlib.crc32(
-            memoryview(shm_rows.buf)[:nbytes]
-        ) != handle.rows_crc:
-            try:
-                shm_rows.close()
-            except BufferError:  # pragma: no cover - no views exported yet
-                pass
-            raise PirError(
-                f"shared pack segment {handle.rows_name!r} does not match its "
-                "handle (size or checksum mismatch)"
-            )
+        shm_rows = _attach_segment(handle.rows_name, nbytes)
+        shm_tables: Any = None
+        tables: Any = None
+        try:
+            if zlib.crc32(memoryview(shm_rows.buf)[:nbytes]) != handle.rows_crc:
+                raise PirError(
+                    f"shared pack segment {handle.rows_name!r} does not match "
+                    "its handle (checksum mismatch)"
+                )
+            if handle.tables_name is not None and handle.group_bits is not None:
+                bits = handle.group_bits
+                shape = (-(-handle.num_blocks // bits), 1 << bits, handle.words)
+                shm_tables = _attach_segment(
+                    handle.tables_name, shape[0] * shape[1] * shape[2] * 8
+                )
+                tables = np.ndarray(shape, dtype=np.uint64, buffer=shm_tables.buf)
+        except PirError:
+            shm_rows.close()  # no array view of it exists yet
+            raise
         pack = cls.__new__(cls)
         rows = np.ndarray(
             (handle.num_blocks, handle.words), dtype=np.uint64, buffer=shm_rows.buf
         )
-        rows.setflags(write=False)
-        pack._rows = rows
-        pack.num_blocks = handle.num_blocks
-        pack.words = handle.words
-        pack.block_size = handle.block_size
-        pack._mask_bytes = (handle.num_blocks + 7) // 8
-        pack._max_table_bytes = handle.max_table_bytes
-        pack._fingerprint = None
-        pack._shm_rows = shm_rows
-        pack._shm_tables = None
-        pack._owns_segments = False
+        pack._set_rows(rows, handle.block_size, handle.max_table_bytes)
+        pack._shm_rows, pack._shm_tables = shm_rows, shm_tables
         pack.shared_handle = handle
-        pack._group_bits = handle.group_bits
-        pack._tables = None
-        if handle.tables_name is not None and handle.group_bits is not None:
-            bits = handle.group_bits
-            groups = -(-handle.num_blocks // bits)
-            shm_tables = _shared_memory.SharedMemory(name=handle.tables_name)
-            if not _PACK_REGISTRY.owns_segment(handle.tables_name):
-                _untrack_shared_memory(shm_tables)
-            tables = np.ndarray(
-                (groups, 1 << bits, handle.words),
-                dtype=np.uint64,
-                buffer=shm_tables.buf,
-            )
-            tables.setflags(write=False)
-            pack._shm_tables = shm_tables
-            pack._tables = tables
-            pack._group_range = np.arange(groups)
+        pack._set_tables(tables, handle.group_bits)
         return pack
 
     def close_shared(self, unlink: Optional[bool] = None) -> None:
@@ -671,14 +676,10 @@ class PackedDatabase:
             rows = _np.array(self._rows)
             rows.setflags(write=False)
             self._rows = rows
-            if self._tables is not None:
-                if unlink:
-                    tables = _np.array(self._tables)
-                    tables.setflags(write=False)
-                    self._tables = tables
-                else:
-                    self._tables = None
-                    self._group_bits = None
+            if self._tables is not None and unlink:
+                self._set_tables(_np.array(self._tables), self._group_bits)
+            else:
+                self._set_tables(None, None)
         for attribute in ("_shm_rows", "_shm_tables"):
             segment = getattr(self, attribute)
             if segment is None:
@@ -812,10 +813,7 @@ def shared_kernel(
     key = shared_kernel_key(page_file, page_numbers, kernel=resolved, cache_key=cache_key)
     store = page_file.store
     with _SHARED_KERNELS_LOCK:
-        per_store = _SHARED_KERNELS.get(store)
-        if per_store is None:
-            per_store = {}
-            _SHARED_KERNELS[store] = per_store
+        per_store = _SHARED_KERNELS.setdefault(store, {})
         cached = per_store.get(key)
     if cached is not None:
         return cached

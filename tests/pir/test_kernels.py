@@ -140,17 +140,6 @@ class TestPackedDatabase:
         for indices in ([], [0], [3, 7, 19], list(range(20))):
             assert packed.answer_indices(indices) == oracle.answer_indices(indices)
 
-    def test_group_loop_and_gather_paths_agree(self, monkeypatch):
-        """The two batch strategies meet at GROUP_LOOP_MIN_BATCH; both must
-        equal the oracle on either side of the threshold."""
-        blocks = make_blocks(50, 16, seed=3)
-        packed = PackedDatabase.from_blocks(blocks)
-        oracle = BigIntKernel(blocks)
-        big_batch = random_masks(50, packed.GROUP_LOOP_MIN_BATCH + 10, seed=1)
-        assert packed.answer_many(big_batch) == oracle.answer_many(big_batch)
-        monkeypatch.setattr(PackedDatabase, "GROUP_LOOP_MIN_BATCH", 10 ** 9)
-        assert packed.answer_many(big_batch) == oracle.answer_many(big_batch)
-
     # 100 blocks of 2 words: table bytes are 53248 / 6400 / 3200 for 8/4/2 bits
     @pytest.mark.parametrize("budget,expected_bits", [
         (64 * 1024 * 1024, 8),
@@ -248,7 +237,7 @@ class TestTiledFallbackGolden:
         import numpy as np
 
         _, pack = self._pack(0)
-        for batch in (1, 2, 31, 32, 33, 96):
+        for batch in (1, 2, 11, 12, 13, 96):
             masks = random_masks(self.NUM_BLOCKS, batch, seed=batch)[:batch]
             matrix = pack._mask_matrix(masks)
             gather = pack._answer_rows_gather(
@@ -392,12 +381,12 @@ class TestObliviousReadMany:
 
     @requires_numpy
     @pytest.mark.parametrize("max_table_bytes", [None, 1])
-    @pytest.mark.parametrize("batch", [1, 15, 16, 31, 32, 45])
+    @pytest.mark.parametrize("batch", [1, 5, 6, 15, 16, 31, 32, 45])
     def test_both_shares_answer_in_one_kernel_call(self, batch, max_table_bytes, monkeypatch):
         """Both XOR shares ride one ``answer_rows`` call, so the kernel sees
-        twice the batch — across its strategy switches (64 with group tables,
-        32 past the table budget) the halves still combine to the big-int
-        oracle's answers."""
+        twice the batch — with group tables and, past the table budget, on
+        either side of ``TILED_MIN_BATCH`` the halves still combine to the
+        big-int oracle's answers."""
         blocks = make_blocks(40, 24, seed=batch)
         packed = PackedDatabase.from_blocks(blocks, max_table_bytes=max_table_bytes)
         calls = []

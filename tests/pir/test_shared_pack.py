@@ -203,6 +203,47 @@ class TestToSharedAndAttach:
             PackedDatabase.attach(wrong)
         pack.close_shared()
 
+    @requires_dev_shm
+    @pytest.mark.parametrize("segment", ["rows", "tables"])
+    @pytest.mark.parametrize("fault", ["missing", "short"])
+    def test_bad_segment_raises_pir_error_and_maps_nothing(self, segment, fault):
+        """A handle naming a segment that is gone, or one shorter than the
+        handle's geometry, raises ``PirError`` naming that segment — for the
+        tables segment as for the rows segment — with every segment the
+        failed attach had mapped unmapped again and ``/dev/shm`` unchanged."""
+        from dataclasses import replace
+        from multiprocessing import shared_memory
+
+        from repro.pir.kernels import PackedDatabase
+
+        def mappings():
+            """This process's live mappings of /dev/shm segments."""
+            lines = Path("/proc/self/maps").read_text().splitlines()
+            return sorted(line.split()[-1] for line in lines if "/dev/shm/" in line)
+
+        pack = PackedDatabase.from_blocks(make_blocks(), max_table_bytes=1 << 20)
+        handle = pack.to_shared()
+        assert handle.tables_name is not None
+        stub = shared_memory.SharedMemory(create=True, size=8)  # far too short
+        # created here, so attaching must leave its tracker registration alone
+        shared_pack_registry().note_owned(stub.name)
+        try:
+            names, mapped = shm_names(), mappings()
+            bad_name = stub.name if fault == "short" else "repro-test-no-such-segment"
+            bad = replace(handle, **{f"{segment}_name": bad_name})
+            with pytest.raises(PirError, match=bad_name) as caught:
+                PackedDatabase.attach(bad)
+            # checked while the traceback still holds attach()'s locals alive:
+            # the unmap is attach()'s doing, not the garbage collector's
+            assert mappings() == mapped
+            assert shm_names() == names
+            del caught
+        finally:
+            shared_pack_registry().forget_owned(stub.name)
+            stub.close()
+            stub.unlink()
+            pack.close_shared()
+
 
 @requires_numpy
 class TestSharedPackRegistry:

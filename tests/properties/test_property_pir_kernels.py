@@ -86,6 +86,36 @@ class TestKernelOracleParity:
         )
         assert packed.answer_many(masks) == oracle.answer_many(masks)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocks=blocks_strategy(),
+        budget=st.one_of(st.just(0), st.integers(min_value=0, max_value=1 << 17)),
+        scratch_bytes=st.integers(min_value=1, max_value=1 << 14),
+        data=st.data(),
+    )
+    def test_blocked_gather_equals_oracle_for_any_budget_and_block_size(
+        self, blocks, budget, scratch_bytes, data
+    ):
+        """The table budget picks the group width (8/4/2 bits, or none: row
+        gather and tiled product) and the scratch budget picks how the groups
+        are walked; neither may change an answer bit (I2)."""
+        from unittest import mock
+
+        from repro.pir.kernels import PackedDatabase
+
+        packed = PackedDatabase.from_blocks(blocks, max_table_bytes=budget)
+        num_blocks = len(blocks)
+        masks = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=(1 << num_blocks) - 1),
+                min_size=0,
+                max_size=40,
+            )
+        )
+        with mock.patch.object(PackedDatabase, "GATHER_SCRATCH_BYTES", scratch_bytes):
+            answers = packed.answer_many(masks)
+        assert answers == BigIntKernel(blocks).answer_many(masks)
+
     @settings(max_examples=25, deadline=None)
     @given(blocks=blocks_strategy(), seed=st.integers(min_value=0, max_value=2 ** 31))
     def test_protocol_parity_with_shared_randomness(self, blocks, seed):
