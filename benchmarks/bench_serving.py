@@ -6,12 +6,16 @@ database and measures two things the serving layer promises:
 * **Throughput/latency** — the open-loop load generator offers a fixed
   arrival rate of full two-server XOR retrievals (every page verified
   against the database) and reports sustained retrievals/s with p50/p99/max
-  latency.  The committed floor requires >= 1k retrievals/s at 4 shards
-  wherever numpy serves the packed kernel.  The servers flush without a
-  timer — at once when idle, and whatever queued behind a busy kernel as
-  the next batch — so at a rate the machine sustains the run drains
-  (service rate ≈ offered, p50 a few ms) and ``largest_flush`` records how
-  much load ever piled up behind one kernel call.
+  latency.  The committed floors are the two that a slow server fails:
+  every arrival completes (``completed_over_arrivals`` = 1) and, wherever
+  numpy serves the packed kernel, the machine drains them as fast as they
+  are offered (``service_rate_over_offered`` >= 0.97).  ``retrievals_per_s``
+  is in-window arrivals over the window — the offered rate by construction —
+  so it is reported, not floored.  The servers flush without a timer — at
+  once when idle, and whatever queued behind a busy kernel as the next
+  batch — so at a rate the machine sustains the run drains (p50 a few ms)
+  and ``largest_flush`` records how much load ever piled up behind one
+  kernel call.
 * **Transport transparency** — one engine batch served through the cluster
   must be bit-identical (paths, costs, adversary views) to the same batch
   served in process; ``bit_identical`` is floored at 1.0 unconditionally.
@@ -29,19 +33,12 @@ from repro.pir import resolve_kernel
 from repro.schemes import ConciseIndexScheme
 from repro.serving import ShardCluster, run_loadgen
 
-#: Offered arrival rate — comfortably above the 1k floor; the floored
-#: metric counts in-window arrivals that completed (all of them must, and
-#: correctly), while the unfloored service rate records how fast the
-#: machine actually drained them.
+#: Offered arrival rate: every arrival must complete, and correctly, and the
+#: floored service rate records how fast the machine actually drained them.
 OFFERED_RATE = 1500.0
 NUM_SHARDS = 4
 DURATION_S = 2.0
 WARMUP_S = 0.5
-#: Per-server answer threads — 2 builds the answer pool, but flushes here
-#: stay far below the 128 masks a two-way split needs (largest: 8), so every
-#: one is answered on the loop thread: the regime where a per-flush thread
-#: hand-off, not the kernel, would set the latency.
-ANSWER_THREADS = 2
 
 
 def _build_scheme(num_nodes=1000, seed=13):
@@ -65,7 +62,6 @@ def run_serving_benchmark(
     duration_s=DURATION_S,
     warmup_s=WARMUP_S,
     num_queries=12,
-    answer_threads=ANSWER_THREADS,
     seed=13,
 ):
     scheme = _build_scheme(num_nodes=num_nodes, seed=seed)
@@ -75,12 +71,7 @@ def run_serving_benchmark(
         QueryEngine(scheme).run_batch(pairs, verify_costs=False)
     )
 
-    with ShardCluster(
-        scheme.database,
-        num_shards=num_shards,
-        kernel=kernel,
-        answer_threads=answer_threads,
-    ) as cluster:
+    with ShardCluster(scheme.database, num_shards=num_shards, kernel=kernel) as cluster:
         report = run_loadgen(
             cluster.addresses,
             scheme.database,
@@ -112,14 +103,14 @@ def run_serving_benchmark(
         "mismatches": report.mismatches,
         "retrievals_per_s": report.retrievals_per_s,
         "service_rate_per_s": report.service_rate_per_s,
+        "service_rate_over_offered": report.service_rate_per_s / report.offered_rate,
+        "completed_over_arrivals": report.completed / report.arrivals,
         "p50_ms": report.p50_ms,
         "p99_ms": report.p99_ms,
         "max_ms": report.max_ms,
         "coalesced_flushes": sum(s["flushes"] for s in report.shard_stats),
         "masks_answered": sum(s["masks_answered"] for s in report.shard_stats),
         "largest_flush": max(s["largest_flush"] for s in report.shard_stats),
-        "answer_threads": answer_threads,
-        "kernel_subcalls": sum(s["kernel_subcalls"] for s in report.shard_stats),
         "engine_queries": num_queries,
         "bit_identical": bit_identical,
     }
@@ -131,14 +122,13 @@ def _format(results):
         f"{results['offered_rate']:g}/s offered\n"
         f"  sustained {results['retrievals_per_s']:,.0f} retrievals/s, "
         f"service rate {results['service_rate_per_s']:,.0f}/s "
+        f"= {results['service_rate_over_offered']:.3f} of offered "
         f"(p50 {results['p50_ms']:.2f} ms, p99 {results['p99_ms']:.2f} ms, "
         f"max {results['max_ms']:.2f} ms)\n"
         f"  {results['arrivals']} arrivals, {results['busy']} busy, "
         f"{results['errors']} errors, {results['mismatches']} mismatches; "
         f"{results['masks_answered']} masks in {results['coalesced_flushes']} "
-        f"flushes (largest {results['largest_flush']}); "
-        f"{results['answer_threads']} answer thread(s), "
-        f"{results['kernel_subcalls']} kernel sub-calls\n"
+        f"flushes (largest {results['largest_flush']})\n"
         f"  engine batch over TCP bit-identical to in-process: "
         f"{bool(results['bit_identical'])}\n"
     )

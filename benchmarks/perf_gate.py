@@ -90,9 +90,12 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         MetricFloor("warm_pool.reuse", 1.0),
     ],
     "serving": [
-        # the asyncio shard service: sustained open-loop throughput at 4
-        # shards, floored only where numpy serves the packed kernel
-        MetricFloor("retrievals_per_s", 1000.0, when=("kernel", "numpy")),
+        # the asyncio shard service under open-loop load at 4 shards: every
+        # arrival completes, and — where numpy serves the packed kernel — is
+        # drained as fast as offered.  (``retrievals_per_s`` is arrivals over
+        # the window, i.e. the offered rate: a floor on it cannot fail.)
+        MetricFloor("completed_over_arrivals", 1.0),
+        MetricFloor("service_rate_over_offered", 0.97, when=("kernel", "numpy")),
         # engine batches over TCP are bit-identical to in-process serving
         MetricFloor("bit_identical", 1.0),
     ],

@@ -4,8 +4,9 @@ For a fixed workload and seed, results must be bit-identical across every
 (shards, workers, worker-mode, kernel, backend) combination — the property
 ``tests/properties/`` pins dynamically.  These rules ban the classic ways a
 code path silently stops being a pure function of its inputs: wall-clock
-reads, the process-global ``random`` functions, OS entropy, and iterating a
-``set`` into an ordering-sensitive position.
+reads, the process-global ``random`` functions, OS entropy, iterating a
+``set`` into an ordering-sensitive position — and, across all of
+``src/repro/``, a second copy of the mask-RNG contract (``det-mask-draw``).
 
 Scope: the bit-identity surface — ``src/repro/engine/``,
 ``src/repro/schemes/``, ``src/repro/pir/`` and ``src/repro/network/
@@ -19,7 +20,7 @@ import ast
 from typing import Iterator, Set, Tuple
 
 from ..core import Finding, ParsedModule, Rule, register
-from .common import call_name, import_aliases, iter_scopes, walk_scope
+from .common import call_name, dotted_name, import_aliases, iter_scopes, walk_scope
 
 #: The bit-identity surface (relative-path prefixes / exact files).
 DETERMINISM_SCOPE: Tuple[str, ...] = (
@@ -125,6 +126,43 @@ class UnseededRandomRule(Rule):
                     node,
                     f"{qualified}() draws from the process-global unseeded RNG",
                 )
+
+
+#: Where subset masks may be drawn: ``draw_shares`` for everything the engine
+#: reads through, and three files that own streams of their own (the
+#: primitive, the standalone two-server protocol, the load generator).
+MASK_DRAW_FUNCTION = ("src/repro/pir/kernels.py", "draw_shares")
+MASK_DRAW_FILES = (
+    "src/repro/pir/batch.py",
+    "src/repro/pir/xor_pir.py",
+    "src/repro/serving/loadgen.py",
+)
+
+
+@register
+class MaskDrawRule(Rule):
+    id = "det-mask-draw"
+    family = "determinism"
+    description = "a random_subset_masks draw outside pir.kernels.draw_shares"
+    hint = (
+        "the mask-RNG contract has one implementation (INVARIANTS.md I2): draw "
+        "through repro.pir.kernels.draw_shares, so draw order, share B and the "
+        "adversary log cannot differ between deployments"
+    )
+
+    def applies_to(self, rel_path: str) -> bool:
+        return rel_path.startswith("src/repro/") and rel_path not in MASK_DRAW_FILES
+
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
+        for scope, _body in iter_scopes(module.tree):
+            if (module.rel_path, getattr(scope, "name", None)) == MASK_DRAW_FUNCTION:
+                continue
+            for node in walk_scope(scope):
+                name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+                if name is not None and name.rpartition(".")[2] == "random_subset_masks":
+                    yield module.finding(
+                        self, node, "subset masks drawn outside draw_shares"
+                    )
 
 
 def _is_setish_expr(node: ast.AST, setish_names: Set[str]) -> bool:

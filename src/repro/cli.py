@@ -248,15 +248,6 @@ def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         help="packed XOR server kernel the shard servers answer with "
         "(auto picks numpy when available)",
     )
-    parser.add_argument(
-        "--answer-threads",
-        type=int,
-        default=1,
-        help="kernel threads per shard server: large coalesced batches are "
-        "split into concurrent kernel sub-calls (numpy releases the GIL), "
-        "so one multicore host drives all shards; answers are bit-identical "
-        "for any thread count",
-    )
 
 
 def _add_scheme_arguments(parser: argparse.ArgumentParser) -> None:
@@ -444,21 +435,15 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.shards <= 0:
         print(f"error: --shards must be positive, got {args.shards}", file=sys.stderr)
         return 2
-    if args.answer_threads <= 0:
-        print(f"error: --answer-threads must be positive, got "
-              f"{args.answer_threads}", file=sys.stderr)
-        return 2
     from .serving import ShardCluster
 
     scheme = _build_scheme(args)
     with ShardCluster(
-        scheme.database, num_shards=args.shards, kernel=args.kernel,
-        answer_threads=args.answer_threads,
+        scheme.database, num_shards=args.shards, kernel=args.kernel
     ) as cluster:
         print(f"scheme        : {scheme.name}")
         print(f"serving       : {args.shards} shard server(s), "
-              f"kernel {cluster.servers[0].kernel}, "
-              f"{args.answer_threads} answer thread(s)")
+              f"kernel {cluster.servers[0].kernel}")
         for shard_id, (host, port) in enumerate(cluster.addresses):
             print(f"  shard {shard_id}: {host}:{port}")
         try:
@@ -484,16 +469,15 @@ def _command_loadgen(args: argparse.Namespace) -> int:
     if args.warmup >= args.duration:
         print("error: --warmup must be shorter than --duration", file=sys.stderr)
         return 2
-    if args.answer_threads <= 0 or args.client_procs <= 0:
-        print("error: --answer-threads/--client-procs must be positive",
+    if args.client_procs <= 0:
+        print(f"error: --client-procs must be positive, got {args.client_procs}",
               file=sys.stderr)
         return 2
     from .serving import ShardCluster, run_loadgen_multiproc
 
     scheme = _build_scheme(args)
     with ShardCluster(
-        scheme.database, num_shards=args.shards, kernel=args.kernel,
-        answer_threads=args.answer_threads,
+        scheme.database, num_shards=args.shards, kernel=args.kernel
     ) as cluster:
         report = run_loadgen_multiproc(
             cluster.addresses,

@@ -16,10 +16,11 @@ from .kernels import (
     PackedDatabase,
     SharedPackHandle,
     SharedPackRegistry,
+    answer_shares,
+    draw_shares,
     kernel_from_pages,
     make_kernel,
     numpy_available,
-    oblivious_read_many,
     resolve_kernel,
     shared_kernel,
     shared_kernel_key,
@@ -76,6 +77,8 @@ __all__ = [
     "TwoServerXorPir",
     "UsablePirSimulator",
     "XorPirServer",
+    "answer_shares",
+    "draw_shares",
     "generate_keypair",
     "generate_prime",
     "indices_mask",
@@ -83,7 +86,6 @@ __all__ = [
     "make_kernel",
     "mask_indices",
     "numpy_available",
-    "oblivious_read_many",
     "oblivious_sort_network",
     "random_subset_masks",
     "resolve_kernel",

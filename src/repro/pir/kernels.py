@@ -996,34 +996,46 @@ def shared_pack_registry() -> SharedPackRegistry:
 
 
 # ---------------------------------------------------------------------- #
-# oblivious serving through a kernel
+# the two-server XOR client: draw both shares, answer and combine them
 # ---------------------------------------------------------------------- #
-def oblivious_read_many(
-    kernel: ServerKernel,
+def draw_shares(
     rng: random.Random,
+    num_blocks: int,
     indices: Sequence[int],
     log: Optional[Callable[[FrozenSet[int]], None]] = None,
-) -> List[bytes]:
-    """Serve block reads through a two-server XOR retrieval over ``kernel``.
+) -> Tuple[List[int], List[int]]:
+    """Both servers' subset masks for reading ``indices`` of ``num_blocks``.
 
-    Both logical servers answer off the one shared packed image (the
-    non-collusion split is a deployment property, not a data-layout one).
-    ``log`` receives each server-visible subset — the adversary view the
-    privacy tests compare across kernels; identical RNG state yields
-    identical logs for either kernel, which the property tests pin.
+    The mask-RNG contract's single implementation (INVARIANTS.md, I2): one
+    ``random_subset_masks`` draw for the whole batch, share B is share A with
+    the wanted block's bit flipped, and ``log`` receives each server-visible
+    subset — the adversary view — A before B, in request order.  No I/O.
     """
     if not indices:
-        return []
-    masks_a = random_subset_masks(rng, kernel.num_blocks, len(indices))
+        return [], []
+    masks_a = random_subset_masks(rng, num_blocks, len(indices))
     masks_b = [mask ^ (1 << index) for mask, index in zip(masks_a, indices)]
     if log is not None:
         for mask_a, mask_b in zip(masks_a, masks_b):
             log(frozenset(mask_indices(mask_a)))
             log(frozenset(mask_indices(mask_b)))
+    return masks_a, masks_b
+
+
+def answer_shares(
+    kernel: ServerKernel, masks_a: List[int], masks_b: List[int]
+) -> List[bytes]:
+    """The blocks :func:`draw_shares` asked for, answered off ``kernel``.
+
+    Both logical servers answer off the one shared packed image (the
+    non-collusion split is a deployment property, not a data-layout one).
+    """
+    if not masks_a:
+        return []
     if isinstance(kernel, PackedDatabase):
         # both shares in one kernel call: half the calls, twice the batch
         rows = kernel.answer_rows(masks_a + masks_b)
-        return kernel.rows_to_blocks(rows[: len(indices)] ^ rows[len(indices) :])
+        return kernel.rows_to_blocks(rows[: len(masks_a)] ^ rows[len(masks_a) :])
     return [
         (
             int.from_bytes(kernel.answer_mask(mask_a), "big")

@@ -23,7 +23,7 @@ from ..costmodel import DEFAULT_SPEC, SystemSpec, pir_page_retrieval_time
 from ..exceptions import FileSizeLimitError, PirError
 from ..storage import Database, PageFile
 from .access_log import AccessTrace
-from .kernels import oblivious_read_many, resolve_kernel, shared_kernel
+from .kernels import answer_shares, draw_shares, resolve_kernel, shared_kernel
 
 
 class SecureCoprocessor:
@@ -164,7 +164,8 @@ class UsablePirSimulator:
         if self.log_queries:
             file_name = page_file.name
             log = lambda subset: self.queries_seen.append((file_name, subset))
-        return oblivious_read_many(kernel, self._kernel_rng, page_numbers, log=log)
+        shares = draw_shares(self._kernel_rng, kernel.num_blocks, page_numbers, log)
+        return answer_shares(kernel, *shares)
 
     def download_header(self, trace: Optional[AccessTrace] = None) -> bytes:
         """Download the header file in full, without the PIR interface."""

@@ -21,6 +21,9 @@ Two layers live here, mirroring the two PIR layers of the package:
   page file.  Traces, plan conformance and the simulated cost model are
   byte-identical to the unsharded simulator — sharding the simulator is a
   *physical* storage/throughput decision, invisible to the adversary model.
+  :class:`PirShard` is the only shard connection — the two-server XOR client —
+  whatever :class:`ShardTransport` (in process here, TCP in
+  :mod:`repro.serving.client`) carries its shares.
 
 Privacy note (documented, and asserted by the tests): within a shard the
 underlying protocol's guarantee is untouched, but the adversary additionally
@@ -32,12 +35,15 @@ partitioned PIR; deployments pick ``S`` accordingly.
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     cast,
@@ -50,7 +56,8 @@ from .kernels import (
     PackedDatabase,
     ServerKernel,
     SharedPackHandle,
-    oblivious_read_many,
+    answer_shares,
+    draw_shares,
     resolve_kernel,
     shared_kernel,
     shared_kernel_key,
@@ -315,7 +322,7 @@ class ShardedPageStore:
     def shard_num_pages(self, shard_id: int, file_name: str) -> int:
         """Pages of ``file_name`` owned by shard ``shard_id``."""
         file_map = self.maps.get(file_name)
-        if file_map is None or shard_id >= file_map.num_shards:
+        if file_map is None or not 0 <= shard_id < file_map.num_shards:
             return 0
         return file_map.shard_sizes()[shard_id]
 
@@ -330,11 +337,7 @@ class ShardedPageStore:
         file_map = self.maps.get(file_name)
         if file_map is None:
             raise PirError(f"file {file_name!r} has no sharded pages")
-        shard_size = (
-            file_map.shard_sizes()[shard_id]
-            if 0 <= shard_id < file_map.num_shards
-            else 0
-        )
+        shard_size = self.shard_num_pages(shard_id, file_name)
         for local_page in local_pages:
             if local_page < 0 or local_page >= shard_size:
                 raise PirError(
@@ -366,11 +369,7 @@ class ShardedPageStore:
         shard.
         """
         file_map = self.check_local(shard_id, file_name, ())
-        shard_size = (
-            file_map.shard_sizes()[shard_id]
-            if 0 <= shard_id < file_map.num_shards
-            else 0
-        )
+        shard_size = self.shard_num_pages(shard_id, file_name)
         if shard_size == 0:
             raise PirError(
                 f"shard {shard_id} holds no pages of file {file_name!r}"
@@ -439,6 +438,30 @@ class ShardedPageStore:
         return 0
 
 
+class ShardTransport(Protocol):
+    """Carries a shard read's two shares to the shard and the XOR of their
+    answers back — only masks cross it, never page numbers."""
+
+    def answer_shares(
+        self, file_name: str, masks_a: List[int], masks_b: List[int]
+    ) -> List[bytes]: ...
+
+
+class LocalShardTransport(NamedTuple):
+    """In process: both shares are answered off the shard's packed kernel
+    (one shared pack per shard and file — :meth:`ShardedPageStore.shard_kernel`)."""
+
+    store: ShardedPageStore
+    shard_id: int
+    kernel: Optional[str]
+
+    def answer_shares(
+        self, file_name: str, masks_a: List[int], masks_b: List[int]
+    ) -> List[bytes]:
+        pack = self.store.shard_kernel(self.shard_id, file_name, self.kernel)
+        return answer_shares(pack, masks_a, masks_b)
+
+
 class PirShard:
     """One independent sub-database connection of a sharded page store.
 
@@ -447,28 +470,29 @@ class PirShard:
     hold their own connection objects, so per-worker shard load can be
     inspected independently.
 
-    With ``xor_kernel`` set, reads are served as two-server XOR retrievals
-    over this shard's packed kernel (one shared pack per shard and file —
-    see :meth:`ShardedPageStore.shard_kernel`) instead of direct store
-    reads; the returned bytes are identical, the server-side XOR work is
-    real.  ``log`` receives ``(file name, shard id, subset)`` per answered
-    subset — the sharded deployment's adversary view.
+    With a ``transport``, reads are two-server XOR retrievals: the shard is
+    the client — it validates, draws both shares from its own seeded ``rng``
+    and logs them (:meth:`begin_read`) — and the transport answers them
+    (:meth:`finish_read`).  Without one, reads are direct store reads; the
+    returned bytes are identical, the server-side XOR work is real.  ``log``
+    receives ``(file name, shard id, subset)`` per answered subset — the
+    sharded deployment's adversary view.
     """
 
-    __slots__ = ("shard_id", "pages_served", "_store", "_xor_kernel", "_rng", "_log")
+    __slots__ = ("shard_id", "pages_served", "transport", "_store", "_rng", "_log")
 
     def __init__(
         self,
         shard_id: int,
         store: ShardedPageStore,
-        xor_kernel: Optional[str] = None,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
+        transport: Optional[ShardTransport] = None,
         log: Optional[Callable[[Tuple[str, int, frozenset]], None]] = None,
     ) -> None:
         self.shard_id = shard_id
         self.pages_served = 0
+        self.transport = transport
         self._store = store
-        self._xor_kernel = xor_kernel
         self._rng = rng
         self._log = log
 
@@ -476,25 +500,38 @@ class PirShard:
         return self._store.shard_num_pages(self.shard_id, file_name)
 
     def read_many(self, file_name: str, local_pages: Sequence[int]) -> List[bytes]:
-        if self._xor_kernel is None:
-            pages = self._store.read_local_batch(self.shard_id, file_name, local_pages)
-        else:
-            pages = self._serve(file_name, list(local_pages))
+        if self.transport is not None:
+            return self.finish_read(*self.begin_read(file_name, local_pages))
+        pages = self._store.read_local_batch(self.shard_id, file_name, local_pages)
         self.pages_served += len(pages)
         return pages
 
-    def _serve(self, file_name: str, local_pages: List[int]) -> List[bytes]:
-        """Answer validated local reads through this shard's XOR kernel."""
+    def begin_read(
+        self, file_name: str, local_pages: Sequence[int]
+    ) -> Tuple[str, List[int], List[int]]:
+        """The order-sensitive half of a two-server XOR retrieval, no I/O.
+
+        Validates, then draws and logs the sub-batch's shares in one
+        :func:`~repro.pir.kernels.draw_shares` call; returns
+        :meth:`finish_read`'s arguments, so a simulator can begin every
+        shard's read in contract order before any share is handed over.
+        """
         self._store.check_local(self.shard_id, file_name, local_pages)
-        kernel = self._store.shard_kernel(self.shard_id, file_name, self._xor_kernel)
         log: Optional[Callable[[frozenset], None]] = None
         if self._log is not None:
             sink, shard_id = self._log, self.shard_id
             log = lambda subset: sink((file_name, shard_id, subset))
-        rng = self._rng
-        if rng is None:  # pragma: no cover - XOR shards are always seeded
-            raise PirError("XOR serving requires a seeded subset RNG")
-        return oblivious_read_many(kernel, rng, local_pages, log=log)
+        num_blocks = self._store.shard_num_pages(self.shard_id, file_name)
+        return (file_name, *draw_shares(self._rng, num_blocks, local_pages, log))
+
+    def finish_read(
+        self, file_name: str, masks_a: List[int], masks_b: List[int]
+    ) -> List[bytes]:
+        """Hand a begun read's shares to the transport (any thread)."""
+        assert self.transport is not None, "only a shard with a transport begins reads"
+        pages = self.transport.answer_shares(file_name, masks_a, masks_b)
+        self.pages_served += len(pages)
+        return pages
 
 
 class ShardedPirSimulator(UsablePirSimulator):
@@ -545,17 +582,18 @@ class ShardedPirSimulator(UsablePirSimulator):
         self.num_shards = num_shards
         self.strategy = strategy
         #: This simulator's own connections to the shared store's shards.
-        #: With XOR serving enabled each connection owns an independent,
-        #: deterministically seeded subset RNG, so adversary-view logs are
-        #: reproducible (and identical across kernels) for a given seed.
+        #: Each owns an independent, deterministically seeded subset RNG —
+        #: the same stream whichever transport carries the shares — so
+        #: adversary-view logs are reproducible (and identical across
+        #: kernels and deployments) for a given seed.
         log = self.queries_seen.append if log_queries else None
         self.shards = [
             PirShard(
                 shard_id,
                 store,
-                xor_kernel=self.xor_kernel,
-                rng=(
-                    random.Random(kernel_seed * 0x9E3779B1 + shard_id)
+                random.Random(kernel_seed * 0x9E3779B1 + shard_id),
+                transport=(
+                    LocalShardTransport(store, shard_id, self.xor_kernel)
                     if self.xor_kernel is not None
                     else None
                 ),
@@ -563,6 +601,9 @@ class ShardedPirSimulator(UsablePirSimulator):
             )
             for shard_id in range(num_shards)
         ]
+        #: Overlaps a round's hand-overs; set (and shut down) by a simulator
+        #: whose transports wait on I/O.
+        self._fanout: Optional[ThreadPoolExecutor] = None
 
     def shard_of_page(self, file_name: str, page_number: int) -> Tuple[int, int]:
         """``(shard, local page)`` serving a logical page — what a sharded
@@ -605,9 +646,29 @@ class ShardedPirSimulator(UsablePirSimulator):
     def _read_shards(
         self, file_name: str, sub_batches: Sequence[Tuple[int, List[int]]]
     ) -> List[List[bytes]]:
-        """Each ``(shard, local pages)`` sub-batch's bytes, in the order given —
-        the mask-RNG contract's: one subset draw per shard, first touched first."""
-        return [
-            self.shards[shard].read_many(file_name, local_pages)
-            for shard, local_pages in sub_batches
+        """Each ``(shard, local pages)`` sub-batch's bytes, in the order given.
+
+        The mask-RNG contract's fan-out: every sub-batch is begun first, on
+        the calling thread and in order (one share draw per shard, first
+        touched first), so only the hand-overs can overlap — all but the last
+        on the helper pool when the simulator owns one.
+        """
+        reads = [(self.shards[shard], local_pages) for shard, local_pages in sub_batches]
+        if not reads or reads[0][0].transport is None:  # direct reads: no shares
+            return [shard.read_many(file_name, local_pages) for shard, local_pages in reads]
+        begun = [
+            (shard, shard.begin_read(file_name, local_pages))
+            for shard, local_pages in reads
         ]
+        if self._fanout is None:
+            return [shard.finish_read(*request) for shard, request in begun]
+        *others, (last_shard, last_request) = begun
+        futures = [
+            self._fanout.submit(shard.finish_read, *request) for shard, request in others
+        ]
+        try:
+            last = last_shard.finish_read(*last_request)
+        finally:
+            # no hand-over outlives the call, also when one of them fails
+            wait(futures)
+        return [future.result() for future in futures] + [last]

@@ -7,15 +7,16 @@ coalescing (an idle server flushes at once; what queues behind a busy
 kernel leaves as the next batch), bounded admission (``BUSY``
 backpressure) and graceful drain;
 :class:`ShardCluster` boots one server per shard.  Client side
-(:mod:`repro.serving.client`): :class:`RemotePirShard` /
-:class:`RemotePirSimulator` present the in-process simulator surface over
-pooled connections, bit-identical to local serving (invariant I2).  Engine
+(:mod:`repro.serving.client`): :class:`TcpShardTransport` carries an
+in-process shard connection's shares over pooled connections and
+:class:`RemotePirSimulator` presents the in-process simulator surface over
+it, bit-identical to local serving (invariant I2).  Engine
 side (:mod:`repro.serving.pool`): the persistent :class:`SolvePool`
 process pool the query engine reuses across batches.
 :mod:`repro.serving.loadgen` is the open-loop load harness over all of it.
 """
 
-from .client import ConnectionPool, RemotePirShard, RemotePirSimulator, ShardConnection
+from .client import ConnectionPool, RemotePirSimulator, ShardConnection, TcpShardTransport
 from .loadgen import LoadReport, run_loadgen, run_loadgen_multiproc
 from .pool import SolvePool
 from .server import ShardCluster, ShardServer
@@ -31,7 +32,6 @@ __all__ = [
     "ConnectionPool",
     "FrameDecoder",
     "LoadReport",
-    "RemotePirShard",
     "RemotePirSimulator",
     "RemoteServerError",
     "ServerBusy",
@@ -40,6 +40,7 @@ __all__ = [
     "ShardInfo",
     "ShardServer",
     "SolvePool",
+    "TcpShardTransport",
     "WireError",
     "run_loadgen",
     "run_loadgen_multiproc",

@@ -1,15 +1,15 @@
 """Client plumbing for the PIR shard service: the engine-facing remote layer.
 
-:class:`RemotePirShard` speaks the :mod:`repro.serving.wire` protocol to one
+A remote shard is an ordinary :class:`~repro.pir.sharded.PirShard`
+connection — the two-server XOR client (validation, the mask draw from the
+shard's seeded stream, the adversary log) is the same code as in process —
+whose transport is a :class:`TcpShardTransport`: it speaks the
+:mod:`repro.serving.wire` protocol to one
 :class:`~repro.serving.server.ShardServer` over a small pool of persistent
-TCP connections, presenting exactly the surface of the in-process
-:class:`~repro.pir.sharded.PirShard` connection.  The two-server XOR client
-runs *here*: masks are drawn from the same deterministically seeded RNG
-stream as in-process XOR serving (``random_subset_masks`` over the shard's
-block space), both servers' masks ship in one request, and the answers are
-XOR-combined client-side — so the returned pages, the adversary-view logs
-and the RNG consumption are bit-identical to local serving, and the wire
-carries only masks, never page numbers.
+TCP connections, ships both servers' masks in one request and XOR-combines
+the validated answers.  So the returned pages, the adversary-view logs and
+the RNG consumption are bit-identical to local serving by construction, and
+the wire carries only masks, never page numbers.
 
 :class:`RemotePirSimulator` is the drop-in
 :class:`~repro.pir.sharded.ShardedPirSimulator` whose shard connections are
@@ -23,17 +23,19 @@ short backoff — backpressure slows a client down but never changes results.
 
 from __future__ import annotations
 
-import random
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..costmodel import DEFAULT_SPEC, SystemSpec
 from ..exceptions import PirError
-from ..pir.batch import mask_indices, random_subset_masks
+
+# not called here (remote draws run in ``pir.kernels.draw_shares``): the frozen
+# e2e tracer binds this module's name until ROADMAP item 3 replaces its patch list
+from ..pir.batch import random_subset_masks  # noqa: F401
 from ..pir.sharded import ShardedPageStore, ShardedPirSimulator
 from ..pir.scp import SecureCoprocessor
 from ..pir.xor_pir import xor_bytes
@@ -145,107 +147,66 @@ class ConnectionPool:
             conn.close()
 
 
-class RemotePirShard:
-    """A :class:`~repro.pir.sharded.PirShard`-shaped connection to a server.
+class TcpShardTransport:
+    """Carries a shard read's shares to one shard server and back.
 
-    Page bytes come back from the remote shard's packed kernel; validation
-    and the (file, shard, subset) adversary log run client-side against the
-    shared :class:`~repro.pir.sharded.ShardedPageStore` view, exactly as the
-    in-process XOR-serving shard connection does.
+    The :class:`~repro.pir.sharded.ShardTransport` of a remote deployment:
+    both shares ship in one ANSWER request over a small pool of persistent
+    connections, and the answered blocks — outside input, so each is checked
+    against the local view's page size — are XOR-combined here.
     """
 
-    __slots__ = (
-        "shard_id",
-        "pages_served",
-        "busy_retries",
-        "busy_backoff_s",
-        "_store",
-        "_pool",
-        "_rng",
-        "_log",
-    )
+    __slots__ = ("shard_id", "busy_retries", "busy_backoff_s", "_store", "_pool")
 
     def __init__(
         self,
         shard_id: int,
         store: ShardedPageStore,
         address: Tuple[str, int],
-        rng: random.Random,
-        log: Optional[Callable[[Tuple[str, int, frozenset]], None]] = None,
-        pool: Optional[ConnectionPool] = None,
-        pool_size: int = 2,
         timeout: float = 30.0,
         busy_retries: int = DEFAULT_BUSY_RETRIES,
         busy_backoff_s: float = DEFAULT_BUSY_BACKOFF_S,
     ) -> None:
         self.shard_id = shard_id
-        self.pages_served = 0
         self.busy_retries = busy_retries
         self.busy_backoff_s = busy_backoff_s
         self._store = store
-        self._pool = pool or ConnectionPool(address, size=pool_size, timeout=timeout)
-        self._rng = rng
-        self._log = log
+        self._pool = ConnectionPool(address, timeout=timeout)
 
     def hello(self) -> wire.ShardInfo:
         """The remote server's self-description (layout sanity checks)."""
         return wire.decode_hello_response(self._pool.request(wire.encode_hello_request()))
 
-    def num_pages(self, file_name: str) -> int:
-        return self._store.shard_num_pages(self.shard_id, file_name)
+    def answer_shares(
+        self, file_name: str, masks_a: List[int], masks_b: List[int]
+    ) -> List[bytes]:
+        """One ANSWER round trip, absorbing BUSY backpressure with retries.
 
-    def read_many(self, file_name: str, local_pages: Sequence[int]) -> List[bytes]:
-        if not local_pages:
-            return []
-        return self.finish_read(*self.begin_read(file_name, local_pages))
-
-    def begin_read(self, file_name: str, local_pages: Sequence[int]) -> Tuple[bytes, int]:
-        """The order-sensitive half of a two-server XOR retrieval, no I/O.
-
-        Validates, draws the sub-batch's masks in one ``random_subset_masks``
-        call and writes the adversary log; returns :meth:`finish_read`'s
-        arguments, so a simulator can begin every shard's read in contract
-        order before any round trip is in flight.
+        The payload is encoded once and a ``BUSY`` retry re-sends it as is:
+        redrawing would desynchronise the mask-RNG contract and hand the
+        server a second, correlated view of the same pages.
         """
-        self._store.check_local(self.shard_id, file_name, local_pages)
-        num_blocks = self._store.shard_num_pages(self.shard_id, file_name)
-        masks_a = random_subset_masks(self._rng, num_blocks, len(local_pages))
-        masks_b = [mask ^ (1 << index) for mask, index in zip(masks_a, local_pages)]
-        if self._log is not None:
-            for mask_a, mask_b in zip(masks_a, masks_b):
-                self._log((file_name, self.shard_id, frozenset(mask_indices(mask_a))))
-                self._log((file_name, self.shard_id, frozenset(mask_indices(mask_b))))
-        return wire.encode_answer_request(file_name, masks_a + masks_b), len(masks_a)
-
-    def finish_read(self, payload: bytes, count: int) -> List[bytes]:
-        """The round trip and XOR combine of a begun read (any thread).
-
-        A ``BUSY`` retry re-sends ``payload`` as is: redrawing would
-        desynchronise the mask-RNG contract and hand the server a second,
-        correlated view of the same pages.
-        """
-        answers = self._answers(payload)
-        if len(answers) != 2 * count:
-            raise PirError(
-                f"shard server answered {len(answers)} blocks for {2 * count} masks"
-            )
-        self.pages_served += count
-        return [
-            xor_bytes(answer_a, answer_b)
-            for answer_a, answer_b in zip(answers[:count], answers[count:])
-        ]
-
-    def _answers(self, payload: bytes) -> List[bytes]:
-        """One ANSWER round trip, absorbing BUSY backpressure with retries."""
+        payload = wire.encode_answer_request(file_name, masks_a + masks_b)
         attempts = 0
         while True:
             try:
-                return wire.decode_answer_response(self._pool.request(payload))
+                answers = wire.decode_answer_response(self._pool.request(payload))
+                break
             except wire.ServerBusy:
                 attempts += 1
                 if attempts > self.busy_retries:
                     raise
                 time.sleep(self.busy_backoff_s)
+        count, page_size = len(masks_a), self._store.page_size(file_name)
+        if [len(answer) for answer in answers] != [page_size] * (2 * count):
+            raise PirError(
+                f"shard server {self.shard_id} did not answer {2 * count} blocks "
+                f"of {page_size} bytes for file {file_name!r}"
+            )
+        return [
+            xor_bytes(answer_a, answer_b)
+            for answer_a, answer_b in zip(answers[:count], answers[count:])
+        ]
 
     def close(self) -> None:
         self._pool.close()
@@ -256,11 +217,12 @@ class RemotePirSimulator(ShardedPirSimulator):
 
     ``addresses`` lists one shard server per shard, in shard order (a
     :class:`~repro.serving.server.ShardCluster`'s ``addresses`` fits
-    directly).  Validation, plan conformance, traces and the simulated cost
-    model all run client-side against the logical database, exactly as in
-    process; only the XOR answering happens on the servers.  With the same
-    ``kernel_seed``, results *and* adversary-view logs are bit-identical to
-    in-process XOR serving (property-tested).
+    directly).  Validation, plan conformance, traces, the mask draws and the
+    simulated cost model all run client-side, exactly as in process; only
+    the XOR answering happens on the servers, behind each shard connection's
+    :class:`TcpShardTransport`.  With the same ``kernel_seed``, results *and*
+    adversary-view logs are bit-identical to in-process XOR serving
+    (property-tested).
 
     ``check_layout`` performs a HELLO round against every server at
     construction and fails loudly when a server's shard layout (shard count,
@@ -279,7 +241,6 @@ class RemotePirSimulator(ShardedPirSimulator):
         store: Optional[ShardedPageStore] = None,
         log_queries: bool = False,
         kernel_seed: int = 0,
-        pool_size: int = 2,
         timeout: float = 30.0,
         check_layout: bool = True,
     ) -> None:
@@ -299,80 +260,50 @@ class RemotePirSimulator(ShardedPirSimulator):
             kernel_seed=kernel_seed,
         )
         self.addresses = addresses
-        log = self.queries_seen.append if log_queries else None
-        #: Remote shard connections drawing the identical per-shard RNG
-        #: streams as in-process XOR serving (bit-identical adversary views).
-        self.shards = [
-            RemotePirShard(
-                shard_id,
-                self.store,
-                address,
-                rng=random.Random(kernel_seed * 0x9E3779B1 + shard_id),
-                log=log,
-                pool_size=pool_size,
-                timeout=timeout,
-            )
-            for shard_id, address in enumerate(addresses)
+        self.transports = [
+            TcpShardTransport(shard.shard_id, self.store, address, timeout=timeout)
+            for shard, address in zip(self.shards, addresses)
         ]
+        for shard, transport in zip(self.shards, self.transports):
+            shard.transport = transport
         #: Carries all but one of a round's shard round trips (lazy threads).
         self._fanout = ThreadPoolExecutor(
             max_workers=max(1, len(addresses) - 1),
             thread_name_prefix="repro-shard-fanout",
         )
         if check_layout:
-            self.check_layout()
-
-    def _read_shards(
-        self, file_name: str, sub_batches: Sequence[Tuple[int, List[int]]]
-    ) -> List[List[bytes]]:
-        """One round trip per shard touched, all in flight together.
-
-        Every sub-batch is begun first, on the calling thread and in order
-        (masks, adversary log), so only the ``ConnectionPool.request`` I/O
-        overlaps; the last request runs here, the others on the helper pool.
-        """
-        if not sub_batches:
-            return []
-        begun = [
-            (self.shards[shard], self.shards[shard].begin_read(file_name, local_pages))
-            for shard, local_pages in sub_batches
-        ]
-        *others, (last_shard, last_request) = begun
-        futures = [
-            self._fanout.submit(shard.finish_read, *request) for shard, request in others
-        ]
-        try:
-            last = last_shard.finish_read(*last_request)
-        finally:
-            # no request outlives the call, also when one of them fails
-            wait(futures)
-        return [future.result() for future in futures] + [last]
+            try:
+                self.check_layout()
+            except BaseException:
+                self.close()  # the HELLO'd sockets must not outlive the failure
+                raise
 
     def check_layout(self) -> None:
         """HELLO every server and verify it matches the local shard view."""
-        for shard in self.shards:
-            info = shard.hello()
+        for transport in self.transports:
+            shard_id = transport.shard_id
+            info = transport.hello()
             if info.num_shards != self.store.num_shards:
                 raise PirError(
-                    f"shard server {shard.shard_id} serves a {info.num_shards}-shard "
+                    f"shard server {shard_id} serves a {info.num_shards}-shard "
                     f"layout; the client expects {self.store.num_shards}"
                 )
-            if info.shard_id != shard.shard_id:
+            if info.shard_id != shard_id:
                 raise PirError(
-                    f"address {shard.shard_id} answered as shard {info.shard_id}"
+                    f"address {shard_id} answered as shard {info.shard_id}"
                 )
             if info.strategy != self.store.strategy:
                 raise PirError(
-                    f"shard server {shard.shard_id} shards by {info.strategy!r}; "
+                    f"shard server {shard_id} shards by {info.strategy!r}; "
                     f"the client expects {self.store.strategy!r}"
                 )
             local_files = {
                 name: (
-                    self.store.shard_num_pages(shard.shard_id, name),
+                    self.store.shard_num_pages(shard_id, name),
                     self.store.page_size(name),
                 )
                 for name in self.store.maps
-                if self.store.shard_num_pages(shard.shard_id, name) > 0
+                if self.store.shard_num_pages(shard_id, name) > 0
             }
             remote_files = {
                 file_info.name: (file_info.num_pages, file_info.page_size)
@@ -380,12 +311,13 @@ class RemotePirSimulator(ShardedPirSimulator):
             }
             if local_files != remote_files:
                 raise PirError(
-                    f"shard server {shard.shard_id} holds a different page "
+                    f"shard server {shard_id} holds a different page "
                     "layout than the local database view"
                 )
 
     def close(self) -> None:
         """Stop the helper threads, close the connections (servers keep running)."""
-        self._fanout.shutdown(wait=True)
-        for shard in self.shards:
-            shard.close()
+        if self._fanout is not None:
+            self._fanout.shutdown(wait=True)
+        for transport in self.transports:
+            transport.close()

@@ -14,12 +14,13 @@ Three serving behaviours matter beyond "answer the masks":
   starts a flush on the next loop tick whenever none is in flight, so an
   idle server adds no wait; the masks of every request that arrives
   *while* a kernel call runs leave together as the next flush (one
-  ``answer_many`` call per file), so batch size follows load.  A flush too
-  small to split across ``answer_threads`` is answered on the loop thread
-  itself: requests arriving meanwhile wait in the socket buffers and are
-  all read in one tick afterwards — which is the batching — and a
-  ``BUSY`` or ``HELLO`` reply is delayed by at most that one kernel call,
-  the same wait a single answer thread imposed;
+  ``answer_many`` call per file), so batch size follows load.  The call
+  runs on the loop thread itself: requests arriving meanwhile wait in the
+  socket buffers and are all read in one tick afterwards — which is the
+  batching — and a ``BUSY`` or ``HELLO`` reply is delayed by at most that
+  one kernel call.  There is no answer-thread pool: the largest flush any
+  benchmark produces is 78 masks, and splitting one across threads
+  measured 0.9x on the 2-vCPU reference host;
 * **admission control** — the in-flight mask queue is bounded; a request
   that would overflow it is answered ``BUSY`` immediately (explicit
   backpressure instead of unbounded buffering);
@@ -38,24 +39,17 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PirError
 from ..pir import resolve_kernel, shared_pack_registry
 from ..pir.batch import mask_indices
-from ..pir.kernels import ServerKernel
 from ..pir.sharded import ShardedPageStore
 from ..storage import Database
 from . import wire
 
 #: Bound on masks admitted but not yet answered (admission control).
 DEFAULT_MAX_PENDING_MASKS = 8192
-#: Kernel threads each server answers with (1 = on the loop thread, no pool).
-DEFAULT_ANSWER_THREADS = 1
-#: Minimum masks worth a kernel sub-call when splitting a coalesced flush —
-#: tiny chunks pay more in scheduling than the extra core returns.
-MIN_SPLIT_MASKS = 64
 
 
 class ShardServer:
@@ -71,25 +65,15 @@ class ShardServer:
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
         log_queries: bool = False,
-        answer_threads: int = DEFAULT_ANSWER_THREADS,
     ) -> None:
         if shard_id < 0 or shard_id >= store.num_shards:
             raise PirError(f"shard {shard_id} out of range for the supplied store")
-        if answer_threads < 1:
-            raise PirError(f"answer_threads must be positive, got {answer_threads}")
         self._store = store
         self.shard_id = shard_id
         self.kernel = resolve_kernel(kernel)
         self._host = host
         self._port = port
         self.max_pending_masks = max_pending_masks
-        #: Kernel threads this server splits large coalesced flushes across.
-        #: numpy releases the GIL inside the bitwise kernels, so sub-calls
-        #: run on real cores; answers are concatenated in request order and
-        #: bit-identical for any thread count (each mask's answer is an
-        #: independent function of the pack).
-        self.answer_threads = answer_threads
-        self._answer_pool: Optional[ThreadPoolExecutor] = None
         self._max_frame_bytes = max_frame_bytes
         #: Server-side adversary view, opt-in exactly like the simulators:
         #: ``(file name, shard id, subset)`` per answered mask.
@@ -101,7 +85,6 @@ class ShardServer:
         self.busy_rejections = 0
         self.requests_served = 0
         self.largest_flush = 0
-        self.kernel_subcalls = 0
         self.address: Optional[Tuple[str, int]] = None
         # loop-thread state
         self._pending: Dict[str, List[Tuple[Sequence[int], asyncio.Future]]] = {}
@@ -164,7 +147,9 @@ class ShardServer:
             "flushes": self.flushes,
             "largest_flush": self.largest_flush,
             "busy_rejections": self.busy_rejections,
-            "kernel_subcalls": self.kernel_subcalls,
+            # one kernel call per flush; the frozen e2e harness reads the
+            # key until ROADMAP item 2 re-bases it
+            "kernel_subcalls": self.flushes,
         }
 
     def info(self) -> wire.ShardInfo:
@@ -200,11 +185,6 @@ class ShardServer:
         self._stop_event = asyncio.Event()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
-        if self.answer_threads > 1:  # one thread never splits: all inline
-            self._answer_pool = ThreadPoolExecutor(
-                max_workers=self.answer_threads,
-                thread_name_prefix=f"repro-shard-answer-{self.shard_id}",
-            )
         server = await asyncio.start_server(self._handle, self._host, self._port)
         sockname = server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -227,9 +207,6 @@ class ShardServer:
             await asyncio.gather(*self._handler_tasks, return_exceptions=True)
         # last: from Python 3.12 this also waits for every connection to close
         await server.wait_closed()
-        pool, self._answer_pool = self._answer_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)  # idle by now: the pump has finished
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -354,50 +331,18 @@ class ShardServer:
         """Flush until nothing is pending; what queues meanwhile is the next batch."""
         try:
             while self._pending:
-                await self._flush(next(iter(self._pending)))
+                self._flush(next(iter(self._pending)))
         finally:
             self._pump = None
 
-    async def _answer_flat(self, kernel: ServerKernel, flat: List[int]) -> List[bytes]:
-        """One flush's kernel work: inline, or split across the answer pool.
-
-        A flush worth at least two :data:`MIN_SPLIT_MASKS`-sized chunks is
-        divided into contiguous sub-batches answered concurrently (numpy
-        releases the GIL inside the bitwise kernels, so the sub-calls run on
-        real cores) and concatenated back in request order.  Every mask's
-        answer is an independent function of the immutable pack, so the
-        result is bit-identical for any thread count.  Anything smaller is
-        answered right here on the loop thread: a hand-off under the GIL
-        costs more than such a call (see the module docstring).
-        """
-        parts = min(self.answer_threads, max(1, len(flat) // MIN_SPLIT_MASKS))
-        if parts <= 1:
-            self.kernel_subcalls += 1
-            return kernel.answer_many(flat)
-        assert self._loop is not None
-        pool = self._answer_pool
-        size = -(-len(flat) // parts)
-        chunks = [flat[start : start + size] for start in range(0, len(flat), size)]
-        self.kernel_subcalls += len(chunks)
-        results = await asyncio.gather(
-            *(
-                self._loop.run_in_executor(pool, kernel.answer_many, chunk)
-                for chunk in chunks
-            )
-        )
-        answers: List[bytes] = []
-        for result in results:
-            answers.extend(result)
-        return answers
-
-    async def _flush(self, file_name: str) -> None:
-        """Answer every pending mask of one file through one kernel batch."""
+    def _flush(self, file_name: str) -> None:
+        """Answer every pending mask of one file through one kernel call."""
         batch = self._pending.pop(file_name)
         flat = [mask for masks, _ in batch for mask in masks]
         self._pending_masks -= len(flat)
         try:
             kernel = self._store.shard_kernel(self.shard_id, file_name, self.kernel)
-            answers = await self._answer_flat(kernel, flat)
+            answers = kernel.answer_many(flat)
             payloads = []
             offset = 0
             for masks, _ in batch:
@@ -453,7 +398,6 @@ class ShardCluster:
         host: str = "127.0.0.1",
         log_queries: bool = False,
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
-        answer_threads: int = DEFAULT_ANSWER_THREADS,
         share_packs: bool = False,
     ) -> None:
         self.store = ShardedPageStore(database, num_shards, strategy)
@@ -475,7 +419,6 @@ class ShardCluster:
                 host=host,
                 max_pending_masks=max_pending_masks,
                 log_queries=log_queries,
-                answer_threads=answer_threads,
             )
             for shard_id in range(num_shards)
         ]

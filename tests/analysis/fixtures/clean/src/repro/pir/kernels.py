@@ -1,4 +1,7 @@
-"""Clean fixture: the allowlisted guarded module-level numpy seam."""
+"""Clean fixture: the allowlisted guarded module-level numpy seam, and the
+one function that may draw subset masks for the engine's read paths."""
+
+from .batch import random_subset_masks
 
 try:
     import numpy as _np
@@ -8,3 +11,8 @@ except ImportError:
 
 def have_numpy():
     return _np is not None
+
+
+def draw_shares(rng, num_blocks, indices):
+    masks_a = random_subset_masks(rng, num_blocks, len(indices))
+    return masks_a, [mask ^ (1 << index) for mask, index in zip(masks_a, indices)]

@@ -38,6 +38,7 @@ EXPECTED_FIRING = {
     ("src/repro/schemes/serial_fetch.py", 4, "perf-serial-fetch"),
     ("src/repro/schemes/serial_fetch.py", 7, "perf-serial-fetch"),
     ("src/repro/schemes/serial_fetch.py", 8, "perf-serial-fetch"),
+    ("src/repro/serving/forked_client.py", 6, "det-mask-draw"),
 }
 
 ALL_RULE_IDS = sorted({rule_id for _, _, rule_id in EXPECTED_FIRING})

@@ -37,10 +37,11 @@ PASSING_DATA = {
 }
 
 #: A serving payload that clears the serving floors (numpy kernel, so the
-#: conditional throughput floor applies and is met).
+#: conditional service-rate floor applies and is met).
 PASSING_SERVING = {
     "kernel": "numpy",
-    "retrievals_per_s": 1500.0,
+    "completed_over_arrivals": 1.0,
+    "service_rate_over_offered": 0.99,
     "bit_identical": 1.0,
 }
 
@@ -121,6 +122,14 @@ class TestCheckFloors:
         assert len(violations) == 1
         assert "xor_pir.speedup" in violations[0]
         assert "missing" in violations[0]
+
+    def test_a_serving_run_that_falls_behind_fails(self):
+        # arrivals over the window stay at the offered rate however slow the
+        # servers are; the drain rate and the completion count do not
+        slow = dict(PASSING_SERVING, retrievals_per_s=1500.0, service_rate_over_offered=0.6)
+        assert "service_rate_over_offered" in check_floors({"serving": slow})[0]
+        lossy = dict(PASSING_SERVING, completed_over_arrivals=0.999)
+        assert "completed_over_arrivals" in check_floors({"serving": lossy})[0]
 
     def test_absent_benchmark_passes_by_default(self):
         assert check_floors({}) == []

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.pir import BigIntKernel, numpy_available, oblivious_read_many
+from repro.pir import BigIntKernel, answer_shares, draw_shares, numpy_available
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -29,6 +29,10 @@ WORDS = [1, 5, 32]
 #: for the largest batches); 37 blocks are 5 / 10 / 19 groups, so 1 divides
 #: evenly and 3 leaves a ragged last block at every width
 WALKS = [None, 1, 3]
+
+
+def oblivious_read_many(kernel, rng, indices):
+    return answer_shares(kernel, *draw_shares(rng, kernel.num_blocks, indices))
 
 
 def make_blocks(words, seed=0):

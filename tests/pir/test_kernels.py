@@ -8,10 +8,13 @@ from repro.exceptions import PirError
 from repro.pir import (
     ENV_PIR_KERNEL,
     BigIntKernel,
+    answer_shares,
+    draw_shares,
     kernel_from_pages,
     make_kernel,
+    mask_indices,
     numpy_available,
-    oblivious_read_many,
+    random_subset_masks,
     resolve_kernel,
     shared_kernel,
 )
@@ -20,6 +23,11 @@ from repro.storage import PageFile, open_page_store
 
 requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 without_numpy = pytest.mark.skipif(numpy_available(), reason="only without numpy")
+
+
+def oblivious_read_many(kernel, rng, indices, log=None):
+    """A two-server XOR read of ``indices``: draw both shares, answer them."""
+    return answer_shares(kernel, *draw_shares(rng, kernel.num_blocks, indices, log))
 
 
 def make_blocks(count=8, size=32, seed=0):
@@ -378,6 +386,30 @@ class TestObliviousReadMany:
     def test_empty_batch_short_circuits(self):
         kernel = make_kernel(make_blocks(3, 8), kernel="bigint")
         assert oblivious_read_many(kernel, random.Random(0), []) == []
+
+    def test_an_empty_read_draws_nothing(self):
+        rng = random.Random(6)
+        state = rng.getstate()
+        assert draw_shares(rng, 9, [], log=lambda subset: 1 / 0) == ([], [])
+        assert rng.getstate() == state
+
+    def test_a_batch_is_one_draw_off_the_stream(self):
+        """The contract's grouping: ``k`` reads consume exactly the bits of
+        one ``random_subset_masks(rng, n, k)`` call, whatever they read."""
+        rng, reference = random.Random(8), random.Random(8)
+        masks_a, masks_b = draw_shares(rng, 21, [20, 0, 7, 7])
+        assert masks_a == random_subset_masks(reference, 21, 4)
+        assert [a ^ b for a, b in zip(masks_a, masks_b)] == [1 << 20, 1, 1 << 7, 1 << 7]
+        assert rng.getstate() == reference.getstate()
+
+    def test_log_sees_share_a_then_share_b_in_request_order(self):
+        seen = []
+        masks_a, masks_b = draw_shares(random.Random(1), 10, [3, 9], log=seen.append)
+        assert seen == [
+            frozenset(mask_indices(mask))
+            for pair in zip(masks_a, masks_b)
+            for mask in pair
+        ]
 
     @requires_numpy
     @pytest.mark.parametrize("max_table_bytes", [None, 1])

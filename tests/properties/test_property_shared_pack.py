@@ -115,13 +115,11 @@ class TestSharedPackOracleParity:
 
 
 class TestServingEquivalence:
-    """Shared packs and answer threads versus plain in-process serving."""
+    """Shared packs versus plain in-process serving."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("num_shards,answer_threads", [(1, 2), (3, 1), (3, 3)])
-    def test_pages_and_queries_seen_bit_identical(
-        self, ci_scheme, kernel, num_shards, answer_threads
-    ):
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_pages_and_queries_seen_bit_identical(self, ci_scheme, kernel, num_shards):
         database = ci_scheme.database
         file_name = max(
             database.file_names(), key=lambda name: database.file(name).num_pages
@@ -136,11 +134,7 @@ class TestServingEquivalence:
         expected_pages = local.retrieve_pages(file_name, reads)
 
         with ShardCluster(
-            database,
-            num_shards=num_shards,
-            kernel=kernel,
-            answer_threads=answer_threads,
-            share_packs=True,
+            database, num_shards=num_shards, kernel=kernel, share_packs=True
         ) as cluster:
             remote = RemotePirSimulator(
                 database, cluster.addresses, log_queries=True, kernel_seed=21
@@ -153,7 +147,7 @@ class TestServingEquivalence:
 
 
 class TestEngineEquivalence:
-    """run_batch across kernel × shards × worker-mode × answer-threads."""
+    """run_batch across kernel × shards × worker-mode."""
 
     @pytest.fixture(scope="class")
     def baseline(self, ci_scheme, pairs):
@@ -180,20 +174,12 @@ class TestEngineEquivalence:
         assert batch_fingerprint(batch) == baseline
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("answer_threads,worker_mode", [
-        (1, "process"),
-        (3, "thread"),
-        (3, "process"),
-    ])
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
     def test_remote_batches_bit_identical(
-        self, ci_scheme, pairs, baseline, kernel, answer_threads, worker_mode
+        self, ci_scheme, pairs, baseline, kernel, worker_mode
     ):
         with ShardCluster(
-            ci_scheme.database,
-            num_shards=2,
-            kernel=kernel,
-            answer_threads=answer_threads,
-            share_packs=True,
+            ci_scheme.database, num_shards=2, kernel=kernel, share_packs=True
         ) as cluster:
             with QueryEngine(ci_scheme, cache_entries=64, serving=cluster) as engine:
                 batch = engine.run_batch(

@@ -89,7 +89,7 @@ def test_busy_retry_inside_a_round_resends_the_same_payload(ci_scheme):
         )
         try:
             pools = []
-            for shard in remote.shards:
+            for shard in remote.transports:
                 shard.busy_backoff_s = 0.0
                 shard._pool = BusyOncePool(shard._pool)
                 pools.append(shard._pool)

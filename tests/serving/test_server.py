@@ -16,14 +16,14 @@ import pytest
 
 from repro.exceptions import PirError
 from repro.pir.batch import mask_indices
-from repro.pir.sharded import ShardedPageStore
+from repro.pir.sharded import PirShard, ShardedPageStore
 from repro.serving import (
-    RemotePirShard,
     RemoteServerError,
     ServerBusy,
     ShardCluster,
     ShardConnection,
     ShardServer,
+    TcpShardTransport,
 )
 from repro.serving import wire
 from repro.storage import Database
@@ -59,15 +59,11 @@ class TestHello:
         database = make_database(num_pages=9)
         store = ShardedPageStore(database, 2, "round-robin")
         with ShardServer(store, shard_id=0) as server:
-            shard = RemotePirShard(
-                shard_id=1,  # wrong identity for this server
-                store=store,
-                address=server.address,
-                rng=random.Random(0),
-            )
-            info = shard.hello()
-            assert info.shard_id == 0 != shard.shard_id
-            shard.close()
+            # wrong identity for this server
+            transport = TcpShardTransport(1, store, server.address)
+            info = transport.hello()
+            assert info.shard_id == 0 != transport.shard_id
+            transport.close()
 
 
 class TestAnswering:
@@ -92,12 +88,13 @@ class TestAnswering:
         database = make_database(num_pages=11)
         store = ShardedPageStore(database, 2, "round-robin")
         with ShardServer(store, shard_id=0) as server:
-            shard = RemotePirShard(0, store, server.address, rng=random.Random(3))
+            transport = TcpShardTransport(0, store, server.address)
+            shard = PirShard(0, store, random.Random(3), transport=transport)
             local = list(range(store.shard_num_pages(0, "data")))
             pages = shard.read_many("data", local)
             assert pages == store.read_local_batch(0, "data", local)
             assert shard.pages_served == len(local)
-            shard.close()
+            transport.close()
 
     def test_unknown_file_is_an_error_and_server_survives(self):
         database = make_database()
@@ -158,14 +155,14 @@ class TestAdmissionControl:
         database = make_database(num_pages=8)
         store = ShardedPageStore(database, 1, "round-robin")
         with ShardServer(store, shard_id=0, max_pending_masks=1) as server:
-            shard = RemotePirShard(
-                0, store, server.address, rng=random.Random(1),
-                busy_retries=3, busy_backoff_s=0.0,
+            transport = TcpShardTransport(
+                0, store, server.address, busy_retries=3, busy_backoff_s=0.0
             )
+            shard = PirShard(0, store, random.Random(1), transport=transport)
             with pytest.raises(ServerBusy):
                 shard.read_many("data", [0])  # two masks never fit in one pending slot
             assert server.stats()["busy_rejections"] == 4  # initial try + 3 retries
-            shard.close()
+            transport.close()
 
 
 class StubKernelStore(ShardedPageStore):
@@ -243,18 +240,11 @@ class RawConn:
         self.sock.close()
 
 
-def wait_until(condition, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition never came true"
-        time.sleep(0.001)
-
-
 def shard_threads():
     return [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith(("repro-shard-answer", "repro-shard-server"))
+        if thread.name.startswith("repro-shard-server")
     ]
 
 
@@ -316,11 +306,11 @@ class TestCoalescing:
         # no flush ever waited on a timer: the server scheduled none
         assert timers_while_serving == []
 
-    def test_one_answer_thread_answers_on_the_loop_thread_without_a_pool(self):
+    def test_a_flush_is_one_kernel_call_on_the_loop_thread(self):
         store = StubKernelStore(make_database(num_pages=12))
         store.stub = recorder = GatedKernel(store.real, gated=False)
-        masks = list(range(1, 151))  # splittable, were there threads to split over
-        with ShardServer(store, shard_id=0, answer_threads=1) as server:
+        masks = list(range(1, 151))
+        with ShardServer(store, shard_id=0) as server:
             conn = ShardConnection(server.address)
             answers = wire.decode_answer_response(
                 conn.request(wire.encode_answer_request("data", masks))
@@ -331,34 +321,6 @@ class TestCoalescing:
         assert answers == store.real.answer_many(masks)
         assert recorder.threads == ["repro-shard-server-0"]
         assert stats["kernel_subcalls"] == stats["flushes"] == 1
-
-    def test_two_answer_threads_split_a_large_flush_on_the_pool(self):
-        from repro.serving.server import MIN_SPLIT_MASKS
-
-        store = StubKernelStore(make_database(num_pages=12))
-        store.stub = recorder = GatedKernel(store.real, gated=False)
-        rng = random.Random(7)
-        masks = [rng.getrandbits(12) for _ in range(2 * MIN_SPLIT_MASKS)]
-        with ShardServer(store, shard_id=0, answer_threads=2) as server:
-            conn = ShardConnection(server.address)
-            answers = wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", masks))
-            )
-            small = wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", masks[:3]))
-            )
-            conn.close()
-            stats = server.stats()
-        assert answers == store.real.answer_many(masks)
-        assert small == store.real.answer_many(masks[:3])
-        assert stats["flushes"] == 2
-        assert stats["kernel_subcalls"] == 3
-        # the split ran on the pool, the unsplittable flush inline
-        assert sorted(name[:21] for name in recorder.threads) == [
-            "repro-shard-answer-0_",
-            "repro-shard-answer-0_",
-            "repro-shard-server-0",
-        ]
 
     def test_admission_bound_holds_for_requests_read_in_one_tick(self):
         store = StubKernelStore(make_database(num_pages=16))
@@ -411,58 +373,36 @@ class TestKernelFailure:
 class TestDrain:
     """``stop()`` mid-call: the pump is the drain, each batch has one owner."""
 
-    @pytest.mark.parametrize("answer_threads", [1, 2])
-    def test_stop_mid_call_answers_every_admitted_request_exactly_once(
-        self, answer_threads
-    ):
-        from repro.serving.server import MIN_SPLIT_MASKS
-
+    def test_stop_mid_call_answers_every_admitted_request_exactly_once(self):
         store = StubKernelStore(make_database(num_pages=16))
         store.stub = gated = GatedKernel(store.real)
-        rng = random.Random(13)
-        # two threads: the first call splits onto the pool and the loop stays
-        # free to admit more behind it; one thread: it holds the loop itself
-        on_pool = answer_threads > 1
-        first_masks = [
-            rng.getrandbits(16) for _ in range(2 * MIN_SPLIT_MASKS if on_pool else 1)
-        ]
-        queued_masks = [[rng.getrandbits(16)] * 2 for _ in range(3 if on_pool else 0)]
-        server = ShardServer(store, shard_id=0, answer_threads=answer_threads)
+        first_masks = [random.Random(13).getrandbits(16)]
+        server = ShardServer(store, shard_id=0)
         server.start()
         first = RawConn(server.address)
-        queued = [RawConn(server.address) for _ in queued_masks]
         late = RawConn(server.address)
         first.ask(first_masks)
-        assert gated.entered.wait(10)
-        for conn, masks in zip(queued, queued_masks):
-            conn.ask(masks)
-        wait_until(lambda: server._pending_masks == 2 * len(queued_masks))
+        assert gated.entered.wait(10)  # the call holds the loop itself
         stopper = threading.Thread(target=server.stop)
         stopper.start()
         stopper.join(0.2)
         assert stopper.is_alive()  # stop() waits for the call in flight
         late.ask([0b1])
-        if on_pool:  # answered at once; inline, as soon as the loop is back
-            with pytest.raises(RemoteServerError, match="draining"):
-                late.answers()
         gated.gate.set()
         stopper.join(5.0)
         assert not stopper.is_alive()
         assert shard_threads() == []
         assert first.answers() == store.real.answer_many(first_masks)
-        for conn, masks in zip(queued, queued_masks):
-            assert conn.answers() == store.real.answer_many(masks)
-        if not on_pool:
-            # read only once the loop was back, after the drain began: refused
-            # (the ERROR, or the close if the drain had nothing left to wait for)
-            with pytest.raises(PirError, match="draining|closed the connection"):
-                late.answers()
-        for conn in [first, late] + queued:
+        # read only once the loop was back, after the drain began: refused
+        # (the ERROR, or the close if the drain had nothing left to wait for)
+        with pytest.raises(PirError, match="draining|closed the connection"):
+            late.answers()
+        for conn in [first, late]:
             assert conn.at_eof()  # exactly one reply each, then the close
             conn.close()
         stats = server.stats()
-        assert stats["flushes"] == (2 if on_pool else 1)
-        assert stats["masks_answered"] == len(first_masks) + 2 * len(queued_masks)
+        assert stats["flushes"] == 1
+        assert stats["masks_answered"] == len(first_masks)
 
 
 class TestQueryLogging:
@@ -526,72 +466,3 @@ class TestLifecycle:
             assert list(cluster.addresses) == first
         finally:
             cluster.stop()
-
-
-class TestAnswerThreads:
-    """Multicore answering: kernel sub-calls split flushes, never answers."""
-
-    def test_invalid_thread_count_rejected(self):
-        database = make_database()
-        store = ShardedPageStore(database, 1, "round-robin")
-        with pytest.raises(PirError, match="answer_threads"):
-            ShardServer(store, shard_id=0, answer_threads=0)
-
-    def test_large_flush_splits_into_kernel_subcalls(self):
-        from repro.serving.server import MIN_SPLIT_MASKS
-
-        database = make_database(num_pages=12)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(store, shard_id=0, answer_threads=3) as server:
-            kernel = store.shard_kernel(0, "data", server.kernel)
-            rng = random.Random(7)
-            masks = [
-                rng.getrandbits(kernel.num_blocks) for _ in range(2 * MIN_SPLIT_MASKS)
-            ]
-            conn = ShardConnection(server.address)
-            answers = wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", masks))
-            )
-            conn.close()
-            stats = server.stats()
-        # answer order is the request order even though chunks ran in parallel
-        assert answers == kernel.answer_many(masks)
-        assert stats["flushes"] == 1
-        assert stats["kernel_subcalls"] == 2  # 128 masks / 64-mask split floor
-
-    def test_small_flush_is_one_subcall(self):
-        database = make_database(num_pages=12)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(store, shard_id=0, answer_threads=4) as server:
-            conn = ShardConnection(server.address)
-            wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", [0b101, 0b11]))
-            )
-            conn.close()
-            stats = server.stats()
-        assert stats["flushes"] == 1
-        assert stats["kernel_subcalls"] == 1
-
-    def test_answers_bit_identical_across_thread_counts(self):
-        database = make_database(num_pages=14)
-        rng = random.Random(9)
-        masks = [rng.getrandbits(14) for _ in range(150)]
-        outcomes = {}
-        for answer_threads in (1, 4):
-            store = ShardedPageStore(database, 1, "round-robin")
-            with ShardServer(
-                store, shard_id=0, answer_threads=answer_threads
-            ) as server:
-                conn = ShardConnection(server.address)
-                outcomes[answer_threads] = wire.decode_answer_response(
-                    conn.request(wire.encode_answer_request("data", masks))
-                )
-                conn.close()
-        assert outcomes[1] == outcomes[4]
-
-    def test_cluster_passes_answer_threads_through(self):
-        database = make_database(num_pages=9)
-        with ShardCluster(database, num_shards=2, answer_threads=2) as cluster:
-            assert all(server.answer_threads == 2 for server in cluster.servers)
-            for stats in cluster.stats():
-                assert stats["kernel_subcalls"] == 0

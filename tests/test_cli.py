@@ -334,31 +334,6 @@ class TestServeCommand:
         assert code == 2
         assert "--shards must be positive" in capsys.readouterr().err
 
-    def test_serve_with_answer_threads(self, tmp_path, capsys):
-        network_file = tmp_path / "net.txt"
-        main(["generate", "--nodes", "70", "--seed", "2", "--output", str(network_file)])
-        code = main(
-            [
-                "serve",
-                "--network", str(network_file),
-                "--page-size", "256",
-                "--shards", "2",
-                "--answer-threads", "3",
-                "--run-seconds", "0.1",
-            ]
-        )
-        assert code == 0
-        assert "3 answer thread(s)" in capsys.readouterr().out
-
-    def test_serve_rejects_invalid_answer_threads(self, tmp_path, capsys):
-        network_file = tmp_path / "net.txt"
-        main(["generate", "--nodes", "70", "--seed", "2", "--output", str(network_file)])
-        code = main(
-            ["serve", "--network", str(network_file), "--answer-threads", "0"]
-        )
-        assert code == 2
-        assert "--answer-threads must be positive" in capsys.readouterr().err
-
 
 class TestLoadgenCommand:
     def test_loadgen_reports_throughput_and_checks_engine(self, tmp_path, capsys):
@@ -396,7 +371,6 @@ class TestLoadgenCommand:
                 "--duration", "0.6",
                 "--warmup", "0.1",
                 "--client-procs", "2",
-                "--answer-threads", "2",
             ]
         )
         assert code == 0
@@ -411,7 +385,7 @@ class TestLoadgenCommand:
             ["loadgen", "--network", str(network_file), "--client-procs", "0"]
         )
         assert code == 2
-        assert "--answer-threads/--client-procs" in capsys.readouterr().err
+        assert "--client-procs must be positive" in capsys.readouterr().err
 
     def test_loadgen_rejects_warmup_longer_than_duration(self, tmp_path, capsys):
         network_file = tmp_path / "net.txt"
