@@ -764,7 +764,35 @@ def run_store_backend_microbench(num_pages=1024, page_bytes=1024, reads=2048, se
     return results
 
 
+def run_pi_build_microbench(num_nodes=300, seed=1, page_size=256):
+    """PI database build time over CI build time on the same network.
+
+    Both builds partition the network and run one Dijkstra tree per border
+    node; PI then materialises every passage subgraph into the network
+    index.  The ratio of the two (best of three each) largely cancels host
+    speed, so it can carry a ceiling where a raw build time could not.
+    """
+    network = random_planar_network(num_nodes, seed=seed)
+    spec = SystemSpec(page_size=page_size)
+    ci_s, _ = _time(lambda: ConciseIndexScheme.build(network, spec))
+    pi_s, _ = _time(lambda: PassageIndexScheme.build(network, spec))
+    return {
+        "nodes": num_nodes,
+        "seed": seed,
+        "page_size": page_size,
+        "ci_build_s": ci_s,
+        "pi_build_s": pi_s,
+        "pi_over_ci": pi_s / ci_s,
+    }
+
+
 def _format(name, result):
+    if "pi_over_ci" in result:
+        return (
+            f"{name}: CI build {result['ci_build_s'] * 1000:.1f} ms, "
+            f"PI build {result['pi_build_s'] * 1000:.1f} ms, "
+            f"PI/CI {result['pi_over_ci']:.2f}"
+        )
     return (
         f"{name}: reference {result['reference_s'] * 1000:.1f} ms, "
         f"fast {result['fast_s'] * 1000:.1f} ms, "
@@ -785,6 +813,7 @@ def _run_all():
     results["tiled_fallback"] = run_tiled_fallback_microbench()
     results["shared_pack"] = run_shared_pack_microbench()
     results["warm_pool"] = run_warm_pool_microbench()
+    results["pi_build"] = run_pi_build_microbench()
     results.update(run_store_backend_microbench())
     return results
 

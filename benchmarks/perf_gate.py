@@ -88,6 +88,10 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         # must reuse the first batch's executor (1.0 == exactly one pool
         # start across both batches; timing deliberately not floored)
         MetricFloor("warm_pool.reuse", 1.0),
+        # the PI database build over the CI build on one 300-node network:
+        # arithmetic fragment sizing and one walk per border tree read ~1.35;
+        # re-encoding every growing fragment per element read ~7.3
+        MetricFloor("pi_build.pi_over_ci", 4.0, at_most=True),
     ],
     "serving": [
         # the asyncio shard service under open-loop load at 4 shards: every

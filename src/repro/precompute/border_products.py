@@ -12,16 +12,19 @@ pre-computed products:
 
 Both are derived from the same single-source shortest-path trees rooted at
 border nodes of the augmented network, so this module computes them in one
-pass.  For every source border node one Dijkstra tree is built; the union of
-paths towards the border nodes of each destination region is then extracted
-by walking parent pointers with memoisation, which costs time proportional to
-the size of the union rather than to the sum of path lengths.
+pass.  For every source border node one Dijkstra tree is built.  A per-tree
+memo (:func:`_path_union`) keeps, for every node on a path, the regions and
+the original edges of its tree path from the root as an integer bit mask; a
+node's mask is its parent's plus the bit of one step.  Each tree is therefore
+walked once, however many destination regions share a prefix, and the union
+towards the border nodes of one destination region is an OR of memoised
+masks.  Masks are turned back into sets once per region pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..network import NodeId, RoadNetwork, dijkstra_tree
 from ..partition import BorderNodeIndex, Partitioning, RegionId
@@ -71,100 +74,146 @@ def compute_border_products(
         return products
 
     restricted: Optional[Set[RegionPair]] = None
+    #: destination region -> the source regions whose subgraph is wanted
+    edge_sources: Optional[Dict[RegionId, Set[RegionId]]] = None
     if want_subgraphs and subgraph_pairs is not None:
         restricted = set(subgraph_pairs)
+        edge_sources = {}
+        for source_region, destination_region in restricted:
+            edge_sources.setdefault(destination_region, set()).add(source_region)
 
-    region_sets: Dict[RegionPair, Set[RegionId]] = {}
-    subgraphs: Dict[RegionPair, Set[DirectedEdge]] = {}
-    augmented = border_index.augmented
-    borders_by_region = border_index.borders_of_region
+    # every step of the augmented network as one bit: the region it enters
+    # (none for a border node) and the original edge it lies on (if any)
+    region_ids = list(partitioning.region_ids())
+    region_bit = {region: 1 << index for index, region in enumerate(region_ids)}
+    step_regions = {
+        step: 0 if step[1] in border_index.regions_of_border
+        else region_bit[partitioning.region_of_node(step[1])]
+        for step in map(_step, border_index.augmented.edges())
+    }
+    step_edges = original_step_edges(network, border_index)
+    edge_ids = sorted({edge for edge in step_edges.values() if edge is not None})
+    edge_bit = {edge: 1 << index for index, edge in enumerate(edge_ids)}
+    step_edge_bits = {
+        step: 0 if edge is None else edge_bit[edge] for step, edge in step_edges.items()
+    }
 
+    region_masks: Dict[RegionPair, int] = {}
+    edge_masks: Dict[RegionPair, int] = {}
     for source_border in border_index.border_nodes():
-        tree = dijkstra_tree(augmented, source_border)
+        parents = dijkstra_tree(border_index.augmented, source_border).parents
+        # per-tree memo: node -> mask of its tree path from the root
+        region_paths = {source_border: 0}
+        edge_paths = {source_border: 0}
         source_regions = border_index.regions_of_border[source_border]
-        for destination_region, targets in borders_by_region.items():
-            wants_edges_here = want_subgraphs and (
-                restricted is None
-                or any((i, destination_region) in restricted for i in source_regions)
-            )
-            if not want_region_sets and not wants_edges_here:
-                continue
-            regions_on_paths, edges_on_paths = _collect_paths(
-                network,
-                partitioning,
-                border_index,
-                tree,
-                source_border,
-                targets,
-                collect_edges=wants_edges_here,
-            )
-            for source_region in source_regions:
-                key = (source_region, destination_region)
-                if want_region_sets:
-                    bucket = region_sets.setdefault(key, set())
-                    bucket.update(
-                        region
-                        for region in regions_on_paths
-                        if region != source_region and region != destination_region
-                    )
-                if wants_edges_here and (restricted is None or key in restricted):
-                    subgraphs.setdefault(key, set()).update(edges_on_paths)
+        for destination_region, targets in border_index.borders_of_region.items():
+            if not want_subgraphs:
+                edge_regions: Iterable[RegionId] = ()
+            elif edge_sources is None:
+                edge_regions = source_regions
+            else:
+                wanted = edge_sources.get(destination_region, ())
+                edge_regions = [region for region in source_regions if region in wanted]
+            if want_region_sets:
+                mask = _path_union(region_paths, parents, targets, step_regions)
+                for source_region in source_regions:
+                    key = (source_region, destination_region)
+                    region_masks[key] = region_masks.get(key, 0) | mask
+            if edge_regions:
+                mask = _path_union(edge_paths, parents, targets, step_edge_bits)
+                for source_region in edge_regions:
+                    key = (source_region, destination_region)
+                    edge_masks[key] = edge_masks.get(key, 0) | mask
 
     if want_region_sets:
-        for region_i in partitioning.region_ids():
-            for region_j in partitioning.region_ids():
-                key = (region_i, region_j)
-                products.region_sets[key] = frozenset(region_sets.get(key, set()))
+        for key in ((i, j) for i in region_ids for j in region_ids):
+            # S_ij names intermediate regions only
+            mask = region_masks.get(key, 0) & ~(region_bit[key[0]] | region_bit[key[1]])
+            products.region_sets[key] = _members(mask, region_ids)
     if want_subgraphs:
         keys = restricted if restricted is not None else [
-            (i, j) for i in partitioning.region_ids() for j in partitioning.region_ids()
+            (i, j) for i in region_ids for j in region_ids
         ]
         for key in keys:
-            products.passage_subgraphs[key] = frozenset(subgraphs.get(key, set()))
+            products.passage_subgraphs[key] = _members(edge_masks.get(key, 0), edge_ids)
     return products
 
 
-def _collect_paths(
-    network: RoadNetwork,
-    partitioning: Partitioning,
-    border_index: BorderNodeIndex,
-    tree,
-    source_border: NodeId,
-    targets,
-    collect_edges: bool,
-) -> Tuple[Set[RegionId], Set[DirectedEdge]]:
-    """Union of regions/edges over the tree paths from the source border to ``targets``."""
-    visited: Set[NodeId] = set()
-    regions_on_paths: Set[RegionId] = set()
-    edges_on_paths: Set[DirectedEdge] = set()
+def _step(edge) -> DirectedEdge:
+    return (edge.source, edge.target)
 
+
+def _path_union(
+    memo: Dict[NodeId, int],
+    parents: Dict[NodeId, Optional[NodeId]],
+    targets: Iterable[NodeId],
+    step_bits: Dict[DirectedEdge, int],
+) -> int:
+    """OR of the path masks from the root to the reachable ``targets``.
+
+    ``memo`` maps a node to the mask of its root path and must hold the root.
+    A missing node's mask is filled from its nearest memoised ancestor
+    downwards: each node's mask is its parent's OR ``step_bits[(parent,
+    node)]``, so each tree step is mapped once per tree.
+    """
+    union = 0
     for target in targets:
-        if target == source_border or not tree.has_path_to(target):
-            continue
-        node = target
-        while node not in visited:
-            visited.add(node)
-            if not border_index.is_border(node):
-                regions_on_paths.add(partitioning.region_of_node(node))
-            parent = tree.parents.get(node)
-            if parent is None:
-                break
-            if collect_edges:
-                edge = _original_directed_edge(network, border_index, parent, node)
-                if edge is not None:
-                    edges_on_paths.add(edge)
-            node = parent
+        known = memo.get(target)
+        if known is None:
+            if target not in parents:
+                continue  # unreachable from the root
+            chain: List[NodeId] = []
+            node = target
+            while node not in memo:
+                chain.append(node)
+                node = parents[node]
+            known = memo[node]
+            for child in reversed(chain):
+                known |= step_bits[(node, child)]
+                memo[child] = known
+                node = child
+        union |= known
+    return union
 
-    return regions_on_paths, edges_on_paths
+
+def _members(mask: int, items: Sequence) -> FrozenSet:
+    """The ``items`` whose positions are set bits of ``mask``."""
+    bits = bin(mask)[:1:-1]  # least significant bit first, without the "0b"
+    found = []
+    index = bits.find("1")
+    while index >= 0:
+        found.append(items[index])
+        index = bits.find("1", index + 1)
+    return frozenset(found)
+
+
+def original_step_edges(
+    network: RoadNetwork, border_index: BorderNodeIndex
+) -> Dict[DirectedEdge, Optional[DirectedEdge]]:
+    """Every step of the augmented network mapped to the original directed edge it lies on.
+
+    A step into or out of a border node maps to the original edge that the
+    border node subdivides, or to ``None`` when that edge does not exist in
+    the step's direction.
+    """
+    original_edges = set(map(_step, network.edges()))
+    return {
+        step: _original_directed_edge(original_edges, border_index, *step)
+        for step in map(_step, border_index.augmented.edges())
+    }
 
 
 def _original_directed_edge(
-    network: RoadNetwork,
+    original_edges: Set[DirectedEdge],
     border_index: BorderNodeIndex,
     parent: NodeId,
     child: NodeId,
 ) -> Optional[DirectedEdge]:
-    """Map one augmented-graph step ``parent -> child`` to an original directed edge."""
+    """Map one augmented-graph step ``parent -> child`` to an original directed edge.
+
+    ``original_edges`` holds every ``(source, target)`` pair of the original
+    network.
+    """
     parent_is_border = border_index.is_border(parent)
     child_is_border = border_index.is_border(child)
     if not parent_is_border and not child_is_border:
@@ -172,10 +221,10 @@ def _original_directed_edge(
     if parent_is_border and not child_is_border:
         endpoint_a, endpoint_b = border_index.original_edge_of_border[parent]
         other = endpoint_a if child == endpoint_b else endpoint_b
-        return (other, child) if network.has_edge(other, child) else None
+        return (other, child) if (other, child) in original_edges else None
     if child_is_border and not parent_is_border:
         endpoint_a, endpoint_b = border_index.original_edge_of_border[child]
         other = endpoint_b if parent == endpoint_a else endpoint_a
-        return (parent, other) if network.has_edge(parent, other) else None
+        return (parent, other) if (parent, other) in original_edges else None
     # two consecutive border nodes cannot be adjacent in the augmented network
     return None

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..exceptions import PartitionError
 from ..network import NodeId, RoadNetwork, dijkstra_tree
 from ..partition import BorderNodeIndex, Partitioning, RegionId
-from .border_products import BorderProducts, _original_directed_edge
+from .border_products import BorderProducts, original_step_edges
 
 RegionPair = Tuple[RegionId, RegionId]
 DirectedEdge = Tuple[NodeId, NodeId]
@@ -165,6 +165,7 @@ def compute_approximate_passage_subgraphs(
     stats = SparsificationStats(epsilon=epsilon)
     products = ApproximateProducts(epsilon=epsilon, stats=stats)
     candidates = _candidate_paths(border_index.augmented, border_index)
+    step_edges = original_step_edges(network, border_index)
 
     for region_i in partitioning.region_ids():
         for region_j in partitioning.region_ids():
@@ -180,7 +181,7 @@ def compute_approximate_passage_subgraphs(
             ):
                 stats.pairs_total += 1
                 for parent, child, _ in edges:
-                    original = _original_directed_edge(network, border_index, parent, child)
+                    original = step_edges[(parent, child)]
                     if original is not None:
                         exact_edges.add(original)
                 budget = (1.0 + epsilon) * cost
@@ -192,7 +193,7 @@ def compute_approximate_passage_subgraphs(
                     if (parent, child) not in kept_augmented:
                         kept_augmented.add((parent, child))
                         adjacency.setdefault(parent, []).append((child, weight))
-                    original = _original_directed_edge(network, border_index, parent, child)
+                    original = step_edges[(parent, child)]
                     if original is not None:
                         kept_edges.add(original)
 

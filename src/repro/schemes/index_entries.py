@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError, StorageError
-from ..storage import Page, PageFile, RecordReader, RecordWriter
+from ..storage import Page, PageFile, RecordReader, RecordWriter, encode_varint
 
 RegionPair = Tuple[int, int]
 WeightedEdge = Tuple[int, int, float]
@@ -30,13 +31,16 @@ KIND_REGION_DELTA = 1
 KIND_SUBGRAPH_RAW = 2
 KIND_SUBGRAPH_DELTA = 3
 
-_REGION_KINDS = (KIND_REGION_RAW, KIND_REGION_DELTA)
-_SUBGRAPH_KINDS = (KIND_SUBGRAPH_RAW, KIND_SUBGRAPH_DELTA)
+#: Entry head: region pair ``(i, j)`` as two uint32, then the kind byte.
+_HEAD = struct.Struct("<IIB")
+#: Encoded size of one element of a raw entry: a region id, or an edge ``(u, v, w)``.
+_ELEMENT_BYTES = {KIND_REGION_RAW: 4, KIND_SUBGRAPH_RAW: 12}
 
 
-def _float32(value: float) -> float:
-    """Round-trip a float through 32-bit precision (the on-disk representation)."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+def _float32_all(values: Sequence[float]) -> Tuple[float, ...]:
+    """Round-trip floats through 32-bit precision (the on-disk representation)."""
+    layout = f"<{len(values)}f"
+    return struct.unpack(layout, struct.pack(layout, *values))
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,14 @@ class IndexEntry:
 
 @dataclass
 class _PlacedEntry:
-    """Builder-side record of an entry placed in the page currently being filled."""
+    """Builder-side record of an entry placed in the page currently being filled.
+
+    Fragments carry no effective set: they are never a delta reference.
+    """
 
     key: RegionPair
-    kind: int
     effective_regions: Optional[FrozenSet[int]]
     effective_edges: Optional[FrozenSet[WeightedEdge]]
-    is_fragment: bool
 
 
 @dataclass
@@ -98,7 +103,11 @@ class IndexFileBuilder:
 
     def add_subgraph(self, i: int, j: int, edges: Iterable[WeightedEdge]) -> None:
         """Place the passage subgraph ``G_ij`` (edges carry their weights)."""
-        normalized = frozenset((int(u), int(v), _float32(w)) for u, v, w in edges)
+        edges = list(edges)
+        sources, targets, weights = zip(*edges) if edges else ((), (), ())
+        normalized = frozenset(
+            zip(map(int, sources), map(int, targets), _float32_all(weights))
+        )
         self._add_entry((i, j), None, normalized)
 
     @property
@@ -127,12 +136,12 @@ class IndexFileBuilder:
             raise SchemeError(f"region pair {key} was placed twice in the index file")
         capacity = self.page_file.page_size
 
-        raw_bytes = _encode_raw(key, regions, edges)
-        framed_raw = _frame(raw_bytes)
-
-        if len(framed_raw) > capacity:
-            self._place_fragmented(key, regions, edges)
+        kind = KIND_REGION_RAW if regions is not None else KIND_SUBGRAPH_RAW
+        elements = sorted(regions if regions is not None else edges)
+        if _framed_raw_size(len(elements), _ELEMENT_BYTES[kind]) > capacity:
+            self._place_fragmented(key, kind, elements)
             return
+        framed_raw = _frame(_encode_raw(key, kind, elements))
 
         best = framed_raw
         best_effective_regions, best_effective_edges = regions, edges
@@ -152,61 +161,32 @@ class IndexFileBuilder:
         page_number = self.page_file.num_pages - 1
         self.locations[key] = EntryLocation(start_page=page_number, page_span=1)
         self._current_entries.append(
-            _PlacedEntry(
-                key=key,
-                kind=KIND_REGION_RAW if regions is not None else KIND_SUBGRAPH_RAW,
-                effective_regions=best_effective_regions,
-                effective_edges=best_effective_edges,
-                is_fragment=False,
-            )
+            _PlacedEntry(key, best_effective_regions, best_effective_edges)
         )
 
-    def _place_fragmented(
-        self,
-        key: RegionPair,
-        regions: Optional[FrozenSet[int]],
-        edges: Optional[FrozenSet[WeightedEdge]],
-    ) -> None:
-        """Split an oversized entry into raw fragments starting on a fresh page."""
+    def _place_fragmented(self, key: RegionPair, kind: int, elements: List) -> None:
+        """Split an oversized entry into raw fragments, each on a fresh page.
+
+        Every fragment starts on an empty page, so each takes the same number
+        of the sorted ``elements``: the most whose framed raw encoding fits.
+        """
         self._start_new_page()
         start_page = self.page_file.num_pages - 1
-        elements: List = sorted(regions) if regions is not None else sorted(edges)
-        is_region = regions is not None
-        position = 0
-        while position < len(elements):
-            chunk: List = []
-            while position < len(elements):
-                candidate = chunk + [elements[position]]
-                encoded = _encode_raw(
-                    key,
-                    frozenset(candidate) if is_region else None,
-                    None if is_region else frozenset(candidate),
-                )
-                if len(_frame(encoded)) > self._current_page.free_bytes:
-                    break
-                chunk = candidate
-                position += 1
-            if not chunk:
-                # current page cannot take even one element: move to a fresh page
-                self._start_new_page()
-                continue
-            encoded = _encode_raw(
-                key,
-                frozenset(chunk) if is_region else None,
-                None if is_region else frozenset(chunk),
+        element_bytes = _ELEMENT_BYTES[kind]
+        per_page = _fitting_count(self._current_page.free_bytes, element_bytes, len(elements))
+        if per_page == 0:
+            raise StorageError(
+                f"index page of {self.page_file.page_size} bytes cannot hold a fragment "
+                f"of pair {key}: one {'region' if kind == KIND_REGION_RAW else 'edge'} "
+                f"needs {_framed_raw_size(1, element_bytes)} bytes"
             )
-            self._current_page.append(_frame(encoded))
-            self._current_entries.append(
-                _PlacedEntry(
-                    key=key,
-                    kind=KIND_REGION_RAW if is_region else KIND_SUBGRAPH_RAW,
-                    effective_regions=frozenset(chunk) if is_region else None,
-                    effective_edges=None if is_region else frozenset(chunk),
-                    is_fragment=True,
-                )
-            )
-            if position < len(elements):
+        for position in range(0, len(elements), per_page):
+            if position:
                 self._start_new_page()
+            chunk = elements[position:position + per_page]
+            self._current_page.append(_frame(_encode_raw(key, kind, chunk)))
+            # a fragment is never a delta reference, but it holds a page position
+            self._current_entries.append(_PlacedEntry(key, None, None))
         end_page = self.page_file.num_pages - 1
         self.locations[key] = EntryLocation(
             start_page=start_page, page_span=end_page - start_page + 1
@@ -233,8 +213,6 @@ class IndexFileBuilder:
         best_tuple = None
         best_size = None
         for position, placed in enumerate(self._current_entries):
-            if placed.is_fragment:
-                continue
             if regions is not None and placed.effective_regions is not None:
                 encoded, effective = self._encode_region_delta(
                     key, regions, placed.effective_regions, position
@@ -293,31 +271,42 @@ class IndexFileBuilder:
 # ---------------------------------------------------------------------- #
 # encoding helpers
 # ---------------------------------------------------------------------- #
-def _encode_raw(
-    key: RegionPair,
-    regions: Optional[FrozenSet[int]],
-    edges: Optional[FrozenSet[WeightedEdge]],
-) -> bytes:
-    writer = RecordWriter()
-    if regions is not None:
-        writer.uint32(key[0]).uint32(key[1]).raw(bytes([KIND_REGION_RAW]))
-        writer.uint32_list(sorted(regions))
-    elif edges is not None:
-        writer.uint32(key[0]).uint32(key[1]).raw(bytes([KIND_SUBGRAPH_RAW]))
-        writer.varint(len(edges))
-        for u, v, w in sorted(edges):
-            writer.uint32(u).uint32(v).float32(w)
+def _encode_raw(key: RegionPair, kind: int, elements: Sequence) -> bytes:
+    """A raw entry of the sorted ``elements``: head, varint count, then each
+    region as uint32 or each edge ``(u, v, w)`` as uint32, uint32, float32.
+
+    Byte-identical to writing each field through :class:`RecordWriter`.
+    """
+    if kind == KIND_REGION_RAW:
+        body = struct.pack(f"<{len(elements)}I", *elements)
     else:
-        raise SchemeError("an index entry must carry either regions or edges")
-    return writer.getvalue()
+        body = struct.pack("<" + "IIf" * len(elements), *chain.from_iterable(elements))
+    return _HEAD.pack(key[0], key[1], kind) + encode_varint(len(elements)) + body
+
+
+def _varint_size(value: int) -> int:
+    """Length of :func:`~repro.storage.record.encode_varint` of ``value``."""
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def _framed_raw_size(count: int, element_bytes: int) -> int:
+    """``len(_frame(_encode_raw(...)))`` for a raw entry of ``count`` elements."""
+    body = _HEAD.size + _varint_size(count) + element_bytes * count
+    return _varint_size(body) + body
+
+
+def _fitting_count(free_bytes: int, element_bytes: int, limit: int) -> int:
+    """The most elements (at most ``limit``) whose framed raw entry fits ``free_bytes``."""
+    # the estimate assumes one-byte varints; larger varints only shrink it
+    count = min(limit, max(0, (free_bytes - _HEAD.size - 2) // element_bytes))
+    while count > 0 and _framed_raw_size(count, element_bytes) > free_bytes:
+        count -= 1
+    return count
 
 
 def _frame(entry_bytes: bytes) -> bytes:
     """Prefix an entry with its length (zero-length marks page padding)."""
-    writer = RecordWriter()
-    writer.varint(len(entry_bytes))
-    writer.raw(entry_bytes)
-    return writer.getvalue()
+    return encode_varint(len(entry_bytes)) + entry_bytes
 
 
 # ---------------------------------------------------------------------- #

@@ -34,6 +34,7 @@ PASSING_DATA = {
     "sharded_pir": {"speedup": 2.0},
     "xor_kernel": {"kernel": "python", "speedup": 1.0},
     "warm_pool": {"reuse": 1.0},
+    "pi_build": {"pi_over_ci": 1.3},
 }
 
 #: A serving payload that clears the serving floors (numpy kernel, so the
@@ -177,6 +178,14 @@ class TestCheckFloors:
         assert len(violations) == 2
         assert "answer_requests_per_plan_bound = 16.25 is above its ceiling of 1" in violations[0]
         assert "kernel_calls_per_round_file" in violations[1]
+
+    def test_a_quadratic_pi_build_is_named(self):
+        # re-encoding every growing fragment per element read ~7.3
+        data = dict(PASSING_DATA, pi_build={"pi_over_ci": 7.3})
+        violations = check_floors({"micro_fastpath": data})
+        assert violations == [
+            "micro_fastpath: pi_build.pi_over_ci = 7.30 is above its ceiling of 4"
+        ]
 
     def test_a_flush_that_waits_or_is_shared_is_named(self):
         assert check_floors({"idle_flush": PASSING_IDLE_FLUSH}) == []

@@ -1,12 +1,29 @@
 """Tests for network-index entries, fragmentation and compression."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import repro
 from repro.exceptions import SchemeError
-from repro.schemes.index_entries import IndexFileBuilder, decode_index_entry
-from repro.storage import PageFile
+from repro.schemes.index_entries import (
+    KIND_REGION_RAW,
+    KIND_SUBGRAPH_RAW,
+    IndexFileBuilder,
+    _ELEMENT_BYTES,
+    _encode_raw,
+    _fitting_count,
+    _frame,
+    _framed_raw_size,
+    _varint_size,
+    decode_index_entry,
+)
+from repro.storage import PageFile, RecordWriter, encode_varint
 
 
 def build_index(entries, page_size=128, compress=True, max_region_set_size=None):
@@ -142,3 +159,120 @@ class TestDecoding:
         assert len(page) == 256  # padded
         entry = decode_index_entry([page], (0, 1))
         assert entry.regions == frozenset({2, 3, 4})
+
+
+class TestFragmentSizing:
+    """The arithmetic fragment size equals the length of the real encoding."""
+
+    @given(st.integers(min_value=0, max_value=1 << 28))
+    @example(127)
+    @example(128)
+    @example(16_383)
+    @example(16_384)
+    def test_varint_size(self, value):
+        assert _varint_size(value) == len(encode_varint(value))
+
+    @given(st.integers(min_value=0, max_value=300))
+    @example(127)
+    @example(128)
+    def test_frame_size(self, body_bytes):
+        assert len(_frame(bytes(body_bytes))) == _varint_size(body_bytes) + body_bytes
+
+    # counts at the varint boundaries of the element count (127/128,
+    # 16,383/16,384) and of the framed body (a region body crosses 127 bytes
+    # between 29 and 30 elements, an edge body between 9 and 10)
+    @given(st.integers(min_value=0, max_value=400))
+    @example(9)
+    @example(10)
+    @example(29)
+    @example(30)
+    @example(127)
+    @example(128)
+    @example(16_383)
+    @example(16_384)
+    def test_framed_raw_size(self, count):
+        regions = list(range(count))
+        edges = [(k, k + 1, 0.5) for k in range(count)]
+        for kind, elements in ((KIND_REGION_RAW, regions), (KIND_SUBGRAPH_RAW, edges)):
+            assert _framed_raw_size(count, _ELEMENT_BYTES[kind]) == len(
+                _frame(_encode_raw((3, 4), kind, elements))
+            )
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=300),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.floats(width=32, allow_nan=False),
+            ),
+            max_size=300,
+        ),
+    )
+    def test_packed_encoding_matches_the_record_writer(self, regions, edges):
+        key = (7, 2**32 - 1)
+        writer = RecordWriter()
+        writer.uint32(key[0]).uint32(key[1]).raw(bytes([KIND_REGION_RAW]))
+        writer.uint32_list(regions)
+        assert _encode_raw(key, KIND_REGION_RAW, regions) == writer.getvalue()
+        writer = RecordWriter()
+        writer.uint32(key[0]).uint32(key[1]).raw(bytes([KIND_SUBGRAPH_RAW]))
+        writer.varint(len(edges))
+        for u, v, w in edges:
+            writer.uint32(u).uint32(v).float32(w)
+        assert _encode_raw(key, KIND_SUBGRAPH_RAW, edges) == writer.getvalue()
+
+    @given(
+        st.integers(min_value=0, max_value=20_000),
+        st.sampled_from(sorted(_ELEMENT_BYTES.values())),
+        st.integers(min_value=0, max_value=2_000),
+    )
+    @example(16_384 * 4 + 12, _ELEMENT_BYTES[KIND_REGION_RAW], 20_000)
+    def test_fitting_count_is_the_largest_fit(self, free_bytes, element_bytes, limit):
+        count = _fitting_count(free_bytes, element_bytes, limit)
+        assert 0 <= count <= limit
+        if count:
+            assert _framed_raw_size(count, element_bytes) <= free_bytes
+        if count < limit:
+            assert _framed_raw_size(count + 1, element_bytes) > free_bytes
+
+
+class TestElementLargerThanPage:
+    """A page too small for one element is an error, not an endless loop.
+
+    Each case runs in a child process under a timeout, so a regression to
+    the endless loop fails the test instead of hanging the suite.
+    """
+
+    def place(self, page_size: int, call: str) -> str:
+        script = (
+            "from repro.exceptions import StorageError\n"
+            "from repro.schemes.index_entries import IndexFileBuilder\n"
+            "from repro.storage import Database\n"
+            f"builder = IndexFileBuilder(Database({page_size}).create_file('idx'))\n"
+            "try:\n"
+            f"    builder.{call}\n"
+            "except StorageError as error:\n"
+            "    print('StorageError:', error)\n"
+        )
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_edge_larger_than_page(self):
+        output = self.place(20, "add_subgraph(0, 1, [(1, 2, 1.0), (2, 3, 1.0)])")
+        assert output.startswith("StorageError:")
+        assert "20 bytes" in output and "edge needs 23 bytes" in output
+
+    def test_region_larger_than_page(self):
+        output = self.place(12, "add_region_set(0, 1, range(40))")
+        assert output.startswith("StorageError:")
+        assert "12 bytes" in output and "region needs 15 bytes" in output
