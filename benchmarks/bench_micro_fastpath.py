@@ -20,8 +20,10 @@ JSON result files.
 """
 
 import random
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import repro.schemes.assembly as assembly
 from repro.costmodel import SystemSpec
@@ -38,7 +40,10 @@ from repro.network import (
 )
 from repro.pir import ShardedPir, TwoServerXorPir, make_kernel, numpy_available
 from repro.pir.batch import random_subset_masks
-from repro.schemes import ConciseIndexScheme, PassageIndexScheme
+from repro.partition import decode_region_payload
+from repro.schemes import ConciseIndexScheme, PassageIndexScheme, QueryPlan
+from repro.schemes.files import DATA_FILE, INDEX_FILE, LOOKUP_FILE, HeaderInfo, read_lookup_entry
+from repro.schemes.index_entries import decode_index_entry
 
 
 def _reference_all_pairs(network, pairs):
@@ -786,6 +791,88 @@ def run_pi_build_microbench(num_nodes=300, seed=1, page_size=256):
     }
 
 
+def run_cold_client_microbench(num_nodes=600, num_queries=100, seed=1, page_size=256):
+    """The client's per-query decode work on cold caches: fast vs. reference.
+
+    For each query of a CI workload on the ``ci_cold_solve`` network, the
+    client decodes the downloaded header, routes source and target through
+    its split table, decodes every fetched region payload and takes the
+    plan's expected adversary view.  The fast side is the flat-struct
+    decoders, the split-table walk and the memoised plan view; the reference
+    side is the field-by-field oracle of ``tests/oracles`` (split tree
+    rebuilt per query) and a view rebuilt per query.  Both start from the
+    same bytes and must return the same objects.
+    """
+    oracles = str(Path(__file__).resolve().parents[1] / "tests" / "oracles")
+    if oracles not in sys.path:
+        sys.path.append(oracles)
+    import client_decode_reference
+
+    network = random_planar_network(num_nodes, seed=seed)
+    scheme = ConciseIndexScheme.build(network, SystemSpec(page_size=page_size))
+    database = scheme.database
+    header_bytes = database.header
+    header = HeaderInfo.decode(header_bytes)
+    queries = []
+    for source, target in generate_workload(network, num_queries, seed=seed):
+        points = [(network.node(node).x, network.node(node).y) for node in (source, target)]
+        pair = tuple(header.region_of_point(x, y) for x, y in points)
+        lookup_page, slot = header.lookup_page_for(*pair)
+        start = read_lookup_entry(database.file(LOOKUP_FILE).read_page(lookup_page), slot)
+        index_pages = database.file(INDEX_FILE).read_pages_batch(
+            header.index_pages_starting_at(start)
+        )
+        regions = sorted(set(decode_index_entry(index_pages, pair).regions) | set(pair))
+        data_pages = database.file(DATA_FILE).read_pages_batch(
+            header.data_pages_for_regions(regions)
+        )
+        queries.append((points, header.region_payloads(data_pages)))
+
+    def client(decode_header, route, decode_payload, plan_view):
+        out = []
+        for points, payloads in queries:
+            decoded = decode_header(header_bytes)
+            out.append(
+                (
+                    [route(decoded, x, y) for x, y in points],
+                    [decode_payload(b"".join(pages)) for pages in payloads],
+                    plan_view(scheme.plan),
+                )
+            )
+        return decoded, out
+
+    def run_fast():
+        return client(
+            HeaderInfo.decode,
+            HeaderInfo.region_of_point,
+            decode_region_payload,
+            QueryPlan.expected_adversary_view,
+        )
+
+    def run_reference():
+        return client(
+            client_decode_reference.decode_header,
+            client_decode_reference.region_of_point,
+            client_decode_reference.decode_region_payload,
+            QueryPlan._build_adversary_view,
+        )
+
+    assert run_fast() == run_reference(), \
+        "fast client decoders disagree with the reference decoders"
+    # alternate the two sides so a slow phase of a shared host hits both
+    fast_s = reference_s = float("inf")
+    for _ in range(9):
+        fast_s = min(fast_s, _time(run_fast, repeats=1)[0])
+        reference_s = min(reference_s, _time(run_reference, repeats=1)[0])
+    return {
+        "nodes": num_nodes,
+        "queries": num_queries,
+        "fast_s": fast_s,
+        "reference_s": reference_s,
+        "speedup": reference_s / fast_s,
+    }
+
+
 def _format(name, result):
     if "pi_over_ci" in result:
         return (
@@ -814,6 +901,7 @@ def _run_all():
     results["shared_pack"] = run_shared_pack_microbench()
     results["warm_pool"] = run_warm_pool_microbench()
     results["pi_build"] = run_pi_build_microbench()
+    results["cold_client"] = run_cold_client_microbench()
     results.update(run_store_backend_microbench())
     return results
 

@@ -92,6 +92,12 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         # arithmetic fragment sizing and one walk per border tree read ~1.35;
         # re-encoding every growing fragment per element read ~7.3
         MetricFloor("pi_build.pi_over_ci", 4.0, at_most=True),
+        # the cold client path (kernel and decode cache off): header decode,
+        # both split-table routings, the region payload decodes and the plan
+        # view of 600-node CI queries, against the field-by-field decoders of
+        # tests/oracles with the split tree rebuilt and the view re-derived
+        # per query; the flat-struct decoders read ~2.4-3x
+        MetricFloor("cold_client.speedup", 2.0),
     ],
     "serving": [
         # the asyncio shard service under open-loop load at 4 shards: every

@@ -384,7 +384,10 @@ class QueryEngine:
             results = results_by_index
         wall_seconds = time.perf_counter() - started
 
-        views = {result.adversary_view for result in results}
+        # every view equals the first: compared lazily, never hashed
+        views = (result.adversary_view for result in results)
+        first_view = next(views)
+        indistinguishable = all(view == first_view for view in views)
 
         true_costs: Optional[Dict[QueryPair, float]] = None
         all_costs_correct = True
@@ -403,7 +406,7 @@ class QueryEngine:
             results=results,
             true_costs=true_costs,
             all_costs_correct=all_costs_correct,
-            indistinguishable=len(views) <= 1,
+            indistinguishable=indistinguishable,
             cache_hits=sum(context.cache.hits for context in contexts) - hits_before,
             cache_misses=sum(context.cache.misses for context in contexts) - misses_before,
             wall_seconds=wall_seconds,

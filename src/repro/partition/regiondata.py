@@ -9,10 +9,16 @@ use the functions in this module, so sizes are consistent by construction.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Tuple
 
+from ..exceptions import StorageError
 from ..network import NodeId, RoadNetwork
-from ..storage import RecordReader, RecordWriter
+from ..storage import RecordWriter, decode_varint
+from ..storage.record import PAIR_UINT32_FLOAT32
+
+#: The fixed head of a node record: id, x, y.
+_NODE_HEAD = struct.Struct("<Iff")
 
 
 def encode_node_record(network: RoadNetwork, node_id: NodeId) -> bytes:
@@ -46,17 +52,33 @@ def encode_region_payload(network: RoadNetwork, node_ids) -> bytes:
 
 
 def decode_region_payload(data: bytes) -> Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]]:
-    """Parse a region payload back into ``{node_id: (x, y, adjacency)}``."""
-    reader = RecordReader(data)
-    count = reader.varint()
+    """Parse a region payload back into ``{node_id: (x, y, adjacency)}``.
+
+    Bytes after the last record (page padding) are ignored.  Degrees almost
+    always fit one varint byte, so that byte is read inline and only a
+    continuation byte (>= 0x80) falls back to :func:`decode_varint`.
+    """
+    view = memoryview(data)
+    end = len(view)
+    count, pos = decode_varint(view, 0)
+    unpack_head = _NODE_HEAD.unpack_from
+    unpack_adjacency = PAIR_UINT32_FLOAT32.iter_unpack
     nodes: Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]] = {}
     for _ in range(count):
-        node_id = reader.uint32()
-        x = reader.float32()
-        y = reader.float32()
-        degree = reader.varint()
-        adjacency = reader.adjacency_list(degree)
-        nodes[node_id] = (x, y, adjacency)
+        if pos + 12 > end:
+            raise StorageError("region payload truncated inside a node record")
+        node_id, x, y = unpack_head(view, pos)
+        pos += 12
+        degree = view[pos] if pos < end else 0x80
+        if degree < 0x80:
+            pos += 1
+        else:
+            degree, pos = decode_varint(view, pos)
+        stop = pos + 8 * degree
+        if stop > end:
+            raise StorageError("region payload truncated inside an adjacency list")
+        nodes[node_id] = (x, y, list(unpack_adjacency(view[pos:stop])))
+        pos = stop
     return nodes
 
 

@@ -15,7 +15,7 @@ view of any two queries is identical, Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,14 @@ class AccessTrace:
         self._header_bytes += num_bytes
         self._events.append(AdversaryEvent(self._round, "header", ""))
 
-    def record_pir_access(self, file_name: str, page_number: int) -> None:
-        self._events.append(AdversaryEvent(self._round, "pir", file_name))
-        self._private_pages.append((self._round, file_name, page_number))
+    def record_pir_accesses(self, file_name: str, page_numbers: Sequence[int]) -> None:
+        """One PIR access of ``file_name`` per page of a batch, in request order."""
+        round_number = self._round
+        event = AdversaryEvent(round_number, "pir", file_name)
+        self._events.extend([event] * len(page_numbers))
+        self._private_pages.extend(
+            (round_number, file_name, page_number) for page_number in page_numbers
+        )
 
     # ------------------------------------------------------------------ #
     # inspection

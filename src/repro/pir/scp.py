@@ -134,18 +134,19 @@ class UsablePirSimulator:
         page_file = self.database.file(file_name)
         if self.enforce_limits:
             self.scp.check_file(page_file)
+        num_pages = page_file.num_pages
         for page_number in page_numbers:
-            if page_number < 0 or page_number >= page_file.num_pages:
+            if page_number < 0 or page_number >= num_pages:
                 raise PirError(
                     f"page {page_number} out of range for file {file_name!r} "
-                    f"({page_file.num_pages} pages)"
+                    f"({num_pages} pages)"
                 )
         results = self._read_pages(page_file, page_numbers)
-        page_time_s = pir_page_retrieval_time(page_file.num_pages, self.spec)
-        for page_number in page_numbers:
+        page_time_s = pir_page_retrieval_time(num_pages, self.spec)
+        for _ in page_numbers:
             self._pir_time_s += page_time_s
-            if trace is not None:
-                trace.record_pir_access(file_name, page_number)
+        if trace is not None:
+            trace.record_pir_accesses(file_name, page_numbers)
         return results
 
     def _read_pages(self, page_file: PageFile, page_numbers: List[int]) -> List[bytes]:

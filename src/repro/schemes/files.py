@@ -14,6 +14,7 @@ File names are fixed constants so query plans can reference them.
 
 from __future__ import annotations
 
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..exceptions import SchemeError, StorageError
 from ..network import RoadNetwork
 from ..partition import Partitioning, encode_region_payload, decode_region_payload
-from ..partition.regions import LeafNode, Partitioning as _Partitioning, SplitNode, TreeNode
-from ..storage import Database, PageFile, RecordReader, RecordWriter
+from ..storage import Database, PageFile, RecordReader, RecordWriter, decode_varint
+from ..storage.record import decode_utf8
 from .plan import QueryPlan
 
 #: Fixed file names used across schemes.
@@ -67,7 +68,14 @@ def current_decode_cache():
 # ---------------------------------------------------------------------- #
 @dataclass
 class HeaderInfo:
-    """Everything a client learns from the header file."""
+    """Everything a client learns from the header file.
+
+    ``tree_splits`` is the partitioning's KD-tree as a flat table of
+    ``(index, axis, value, left, right)`` records, root first (see
+    :meth:`~repro.partition.Partitioning.tree_splits`); the client routes a
+    point by walking that table directly (:meth:`region_of_point`) and never
+    rebuilds the tree.
+    """
 
     scheme_name: str
     page_size: int
@@ -93,12 +101,35 @@ class HeaderInfo:
     # client-side helpers
     # -------------------------------------------------------------- #
     def region_of_point(self, x: float, y: float) -> int:
-        """Map Euclidean coordinates to a region id using the shipped split tree."""
-        tree = getattr(self, "_split_tree", None)
-        if tree is None:
-            tree = _Partitioning.tree_from_splits(self.tree_splits)
-            self._split_tree = tree
-        return _descend(tree, x, y)
+        """Map Euclidean coordinates to a region id by walking ``tree_splits``.
+
+        A split record sends coordinates strictly below ``value`` on ``axis``
+        (0 = x, 1 = y) to record ``left`` and the rest to record ``right``;
+        an ``axis`` of 2 marks a leaf whose region is ``left``.  The walk
+        starts at record 0 and takes at most one step per record, so a cycle
+        or a dangling child in a hostile header raises :class:`StorageError`.
+        """
+        splits = self.tree_splits
+        count = len(splits)
+        index = 0
+        for _ in range(count):
+            if not 0 <= index < count:
+                raise StorageError(
+                    f"malformed split tree in the header: child {index} of {count} records"
+                )
+            _, axis, value, left, right = splits[index]
+            if axis == 0:
+                coordinate = x
+            elif axis == 1:
+                coordinate = y
+            elif axis == 2:
+                return left
+            else:
+                raise StorageError(f"malformed split tree in the header: axis {axis}")
+            index = left if coordinate < value else right
+        raise StorageError(
+            f"malformed split tree in the header: no leaf within {count} steps"
+        )
 
     def lookup_page_for(self, region_i: int, region_j: int) -> Tuple[int, int]:
         """The look-up file page holding the entry for ``(i, j)`` and the entry's slot."""
@@ -164,31 +195,24 @@ class HeaderInfo:
             cached = cache.get(("header", data))
             if cached is not None:
                 return cached
-        reader = RecordReader(data)
-        scheme_name = reader.string()
-        page_size = reader.uint32()
-        num_regions = reader.uint32()
-        data_file = reader.string()
-        index_file = reader.string()
-        lookup_file = reader.string()
-        data_pages_per_region = reader.uint32()
-        data_page_offset = reader.uint32()
-        lookup_entries_per_page = reader.uint32()
-        index_fetch_pages = reader.uint32()
-        data_round_pages = reader.uint32()
-        num_index_pages = reader.uint32()
-        num_data_pages = reader.uint32()
-        num_lookup_pages = reader.uint32()
-        index_continuation_pages = reader.uint32()
-        split_count = reader.varint()
-        tree_splits = []
-        for index in range(split_count):
-            axis = reader.varint()
-            value = reader.float64()
-            left = reader.varint()
-            right = reader.varint()
-            tree_splits.append((index, axis, value, left, right))
-        plan = QueryPlan.decode(reader)
+        scheme_name, pos = _read_string(data, 0)
+        (page_size, num_regions), pos = _read_fields(_HEADER_SIZES, data, pos)
+        data_file, pos = _read_string(data, pos)
+        index_file, pos = _read_string(data, pos)
+        lookup_file, pos = _read_string(data, pos)
+        (
+            data_pages_per_region,
+            data_page_offset,
+            lookup_entries_per_page,
+            index_fetch_pages,
+            data_round_pages,
+            num_index_pages,
+            num_data_pages,
+            num_lookup_pages,
+            index_continuation_pages,
+        ), pos = _read_fields(_HEADER_COUNTS, data, pos)
+        tree_splits, pos = _decode_splits(data, pos)
+        plan = QueryPlan.decode(RecordReader(data, pos))
         header = HeaderInfo(
             scheme_name=scheme_name,
             page_size=page_size,
@@ -213,14 +237,66 @@ class HeaderInfo:
         return header
 
 
-def _descend(tree: TreeNode, x: float, y: float) -> int:
-    node = tree
-    while isinstance(node, SplitNode):
-        coordinate = x if node.axis == 0 else y
-        node = node.left if coordinate < node.value else node.right
-    if not isinstance(node, LeafNode):
-        raise StorageError("malformed split tree in the header")
-    return node.region_id
+#: ``page_size`` and ``num_regions``, then the nine page-layout counts that
+#: follow the three file names (``data_pages_per_region`` …
+#: ``index_continuation_pages``, in :meth:`HeaderInfo.encode` order).
+_HEADER_SIZES = struct.Struct("<II")
+_HEADER_COUNTS = struct.Struct("<9I")
+_SPLIT_VALUE = struct.Struct("<d")
+
+
+def _read_fields(codec: struct.Struct, data: bytes, pos: int) -> Tuple[tuple, int]:
+    end = pos + codec.size
+    if end > len(data):
+        raise StorageError("header truncated inside its fixed-size fields")
+    return codec.unpack_from(data, pos), end
+
+
+def _read_string(data: bytes, pos: int) -> Tuple[str, int]:
+    length, pos = decode_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise StorageError("header truncated inside a string field")
+    return decode_utf8(data[pos:end]), end
+
+
+def _decode_splits(
+    data: bytes, pos: int
+) -> Tuple[List[Tuple[int, int, float, int, int]], int]:
+    """The split-tree records starting at ``pos`` and the offset after them.
+
+    ``axis``, ``left`` and ``right`` are varints that almost always fit one
+    byte, so each is read inline; a continuation byte (>= 0x80) or the end of
+    the data falls back to :func:`decode_varint`, which bounds-checks.
+    """
+    end = len(data)
+    count, pos = decode_varint(data, pos)
+    unpack_value = _SPLIT_VALUE.unpack_from
+    splits: List[Tuple[int, int, float, int, int]] = []
+    for index in range(count):
+        axis = data[pos] if pos < end else 0x80
+        if axis < 0x80:
+            pos += 1
+        else:
+            axis, pos = decode_varint(data, pos)
+        if axis > 2:
+            raise StorageError(f"split record {index} has axis {axis}, not 0, 1 or 2")
+        if pos + 8 > end:
+            raise StorageError(f"header truncated inside split record {index}")
+        value = unpack_value(data, pos)[0]
+        pos += 8
+        left = data[pos] if pos < end else 0x80
+        if left < 0x80:
+            pos += 1
+        else:
+            left, pos = decode_varint(data, pos)
+        right = data[pos] if pos < end else 0x80
+        if right < 0x80:
+            pos += 1
+        else:
+            right, pos = decode_varint(data, pos)
+        splits.append((index, axis, value, left, right))
+    return splits, pos
 
 
 # ---------------------------------------------------------------------- #

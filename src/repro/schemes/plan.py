@@ -54,7 +54,19 @@ class QueryPlan:
         return totals
 
     def expected_adversary_view(self) -> AdversaryView:
-        """The adversary-visible event sequence every conforming query produces."""
+        """The adversary-visible event sequence every conforming query produces.
+
+        A pure function of the frozen plan, so it is built once and kept on
+        the instance (outside the dataclass fields: equality, hashing and the
+        encoding are unaffected).
+        """
+        view = self.__dict__.get("_expected_view")
+        if view is None:
+            view = self._build_adversary_view()
+            object.__setattr__(self, "_expected_view", view)
+        return view
+
+    def _build_adversary_view(self) -> AdversaryView:
         events: List[AdversaryEvent] = []
         for round_number, round_spec in enumerate(self.rounds, start=1):
             if round_spec.includes_header:

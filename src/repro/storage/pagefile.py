@@ -176,8 +176,10 @@ class PageFile:
 
     def read_pages_batch(self, page_numbers: Sequence[int]) -> List[bytes]:
         """Padded page images for a batch of pages (one store round trip)."""
+        num_pages = self.num_pages
         for page_number in page_numbers:
-            self._check_page_number(page_number)
+            if page_number < 0 or page_number >= num_pages:
+                self._check_page_number(page_number)
         tail_number = self._tail_page_number() if self._tail is not None else None
         if tail_number is not None and any(n == tail_number for n in page_numbers):
             return [self.read_page(n) for n in page_numbers]

@@ -14,7 +14,7 @@ layouts by construction.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import Any, List
 
 from ..exceptions import StorageError
 
@@ -159,25 +159,26 @@ class RecordReader:
     def remaining(self) -> int:
         return len(self._data) - self._offset
 
+    def _fixed(self, codec: struct.Struct) -> Any:
+        """One fixed-size field, bounds-checked like :meth:`raw`."""
+        offset = self._offset
+        end = offset + codec.size
+        if end > len(self._data):
+            raise StorageError("attempt to read past the end of the record")
+        self._offset = end
+        return codec.unpack_from(self._data, offset)[0]
+
     def uint32(self) -> int:
-        value = decode_uint32(self._data, self._offset)
-        self._offset += UINT32.size
-        return value
+        return self._fixed(UINT32)
 
     def uint16(self) -> int:
-        value = UINT16.unpack_from(self._data, self._offset)[0]
-        self._offset += UINT16.size
-        return value
+        return self._fixed(UINT16)
 
     def float32(self) -> float:
-        value = decode_float32(self._data, self._offset)
-        self._offset += FLOAT32.size
-        return value
+        return self._fixed(FLOAT32)
 
     def float64(self) -> float:
-        value = decode_float64(self._data, self._offset)
-        self._offset += FLOAT64.size
-        return value
+        return self._fixed(FLOAT64)
 
     def varint(self) -> int:
         value, self._offset = decode_varint(self._data, self._offset)
@@ -217,5 +218,12 @@ class RecordReader:
         return self._batch(TRIPLE_UINT32_UINT32_FLOAT32, count)
 
     def string(self) -> str:
-        count = self.varint()
-        return self.raw(count).decode("utf-8")
+        return decode_utf8(self.raw(self.varint()))
+
+
+def decode_utf8(data: bytes) -> str:
+    """UTF-8 text of a record field; malformed bytes are a :class:`StorageError`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"malformed UTF-8 in a record string: {exc}") from None

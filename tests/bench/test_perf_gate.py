@@ -35,6 +35,7 @@ PASSING_DATA = {
     "xor_kernel": {"kernel": "python", "speedup": 1.0},
     "warm_pool": {"reuse": 1.0},
     "pi_build": {"pi_over_ci": 1.3},
+    "cold_client": {"speedup": 2.5},
 }
 
 #: A serving payload that clears the serving floors (numpy kernel, so the

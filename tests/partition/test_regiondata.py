@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import StorageError
 from repro.network import random_planar_network
 from repro.partition import (
     decode_region_payload,
@@ -10,6 +11,7 @@ from repro.partition import (
     merge_region_payloads,
     node_record_size,
 )
+from repro.storage import RecordWriter
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,38 @@ class TestRegionPayload:
 
     def test_empty_region(self, network):
         assert decode_region_payload(encode_region_payload(network, [])) == {}
+
+
+def _one_node_payload(degree: int, pairs: int) -> bytes:
+    """A one-node payload declaring ``degree`` neighbours but carrying ``pairs``."""
+    writer = RecordWriter().varint(1).uint32(7).float32(1.5).float32(2.5).varint(degree)
+    for neighbor in range(pairs):
+        writer.uint32(neighbor).float32(1.0)
+    return writer.getvalue()
+
+
+class TestTruncatedRegionPayload:
+    """A short payload from the LBS is a StorageError at every truncation point."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"", id="count"),
+            pytest.param(b"\x01\x05\x00", id="node-head"),
+            pytest.param(_one_node_payload(2, 2)[:13], id="degree-missing"),
+            pytest.param(_one_node_payload(200, 200)[:14], id="degree-varint"),
+            pytest.param(_one_node_payload(2, 1), id="adjacency"),
+            pytest.param(_one_node_payload(2, 2)[:-1], id="adjacency-last-byte"),
+        ],
+    )
+    def test_truncation_raises_storage_error(self, data):
+        with pytest.raises(StorageError):
+            decode_region_payload(data)
+
+    def test_untruncated_payload_decodes(self):
+        assert decode_region_payload(_one_node_payload(2, 2)) == {
+            7: (1.5, 2.5, [(0, 1.0), (1, 1.0)])
+        }
 
 
 class TestMergeRegionPayloads:

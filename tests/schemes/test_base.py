@@ -98,15 +98,15 @@ class TestPlanConformance:
         trace.begin_round()
         trace.record_header_download(10)
         trace.begin_round()
-        trace.record_pir_access("data", 4)
-        trace.record_pir_access("data", 1)
+        trace.record_pir_accesses("data", [4])
+        trace.record_pir_accesses("data", [1])
         verify_plan_conformance(trace, plan)
 
     def test_wrong_page_count_fails(self):
         plan = QueryPlan.from_rounds([RoundSpec(fetches=(("data", 2),))])
         trace = AccessTrace()
         trace.begin_round()
-        trace.record_pir_access("data", 4)
+        trace.record_pir_accesses("data", [4])
         with pytest.raises(PlanViolationError):
             verify_plan_conformance(trace, plan)
 
@@ -114,10 +114,24 @@ class TestPlanConformance:
         plan = QueryPlan.from_rounds([RoundSpec(fetches=(("index", 1), ("data", 1)))])
         trace = AccessTrace()
         trace.begin_round()
-        trace.record_pir_access("data", 0)
-        trace.record_pir_access("index", 0)
+        trace.record_pir_accesses("data", [0])
+        trace.record_pir_accesses("index", [0])
         with pytest.raises(PlanViolationError):
             verify_plan_conformance(trace, plan)
+
+
+    def test_every_query_is_checked_after_the_view_is_memoised(self):
+        plan = QueryPlan.from_rounds([RoundSpec(fetches=(("data", 2),))])
+        conforming = AccessTrace()
+        conforming.begin_round()
+        conforming.record_pir_accesses("data", [3, 0])
+        verify_plan_conformance(conforming, plan)
+        deviating = AccessTrace()
+        deviating.begin_round()
+        deviating.record_pir_accesses("data", [3, 0, 1])
+        with pytest.raises(PlanViolationError):
+            verify_plan_conformance(deviating, plan)
+        verify_plan_conformance(conforming, plan)
 
 
 class TestResponseTimeFromTrace:
@@ -127,8 +141,8 @@ class TestResponseTimeFromTrace:
         trace.begin_round()
         trace.record_header_download(len(toy_database.header))
         trace.begin_round()
-        trace.record_pir_access("data", 0)
-        trace.record_pir_access("data", 1)
+        trace.record_pir_accesses("data", [0])
+        trace.record_pir_accesses("data", [1])
         response = response_time_from_trace(trace, toy_database, CostModel(spec), client_seconds=0.25)
         assert response.client_s == 0.25
         assert response.pir_s > 0

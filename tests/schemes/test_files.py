@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import SchemeError
+from repro.exceptions import SchemeError, StorageError
 from repro.partition import packed_kdtree_partition
 from repro.schemes import QueryPlan, RoundSpec
 from repro.schemes.files import (
@@ -88,6 +88,75 @@ class TestHeaderInfo:
         assert header.index_pages_starting_at(1) == [0, 1, 2]
 
 
+#: A three-record split tree: record 0 splits x at 0.5 into leaves 1 and 2.
+SPLITS = [(0, 0, 0.5, 1, 2), (1, 2, 0.0, 4, 0), (2, 2, 0.0, 9, 0)]
+SPLIT_RECORD_BYTES = 11  # one-byte axis, float64 value, one-byte children
+
+
+def _encoded_layout():
+    """A header's bytes plus the offsets of its split table and plan."""
+    header = make_header(tree_splits=SPLITS)
+    data = header.encode()
+    plan_start = len(data) - len(header.plan.encode())
+    splits_start = plan_start - SPLIT_RECORD_BYTES * len(SPLITS)
+    return data, splits_start, plan_start
+
+
+class TestHostileHeader:
+    """Bytes from the (untrusted) LBS fail with StorageError, never untyped."""
+
+    def test_split_walk_routes_both_sides(self):
+        header = HeaderInfo.decode(_encoded_layout()[0])
+        assert header.region_of_point(0.25, 0.0) == 4
+        assert header.region_of_point(0.5, 0.0) == 9  # ties go right
+
+    @pytest.mark.parametrize(
+        "where",
+        ["scheme-name", "fixed-fields", "page-counts", "split-count", "split-record", "plan"],
+    )
+    def test_truncation_raises_storage_error(self, where):
+        data, splits_start, plan_start = _encoded_layout()
+        cut = {
+            "scheme-name": 2,
+            "fixed-fields": 5,
+            "page-counts": splits_start - 10,
+            "split-count": splits_start - 1,
+            "split-record": splits_start + 4,
+            "plan": plan_start + 1,
+        }[where]
+        with pytest.raises(StorageError):
+            HeaderInfo.decode(data[:cut])
+
+    def test_short_header_bytes(self):
+        with pytest.raises(StorageError):
+            HeaderInfo.decode(b"\x03abc\x01")
+
+    def test_axis_out_of_range_rejected_by_decode(self):
+        data = make_header(tree_splits=[(0, 3, 0.5, 1, 2)] + SPLITS[1:]).encode()
+        with pytest.raises(StorageError, match="axis 3"):
+            HeaderInfo.decode(data)
+
+    def test_axis_out_of_range_rejected_by_walk(self):
+        header = make_header(tree_splits=[(0, 7, 0.5, 1, 2)] + SPLITS[1:])
+        with pytest.raises(StorageError):
+            header.region_of_point(0.0, 0.0)
+
+    def test_child_out_of_range(self):
+        header = HeaderInfo.decode(make_header(tree_splits=[(0, 0, 0.5, 1, 5)] + SPLITS[1:]).encode())
+        assert header.region_of_point(0.0, 0.0) == 4
+        with pytest.raises(StorageError):
+            header.region_of_point(1.0, 0.0)
+
+    def test_cycle(self):
+        header = HeaderInfo.decode(make_header(tree_splits=[(0, 1, 0.5, 0, 0)]).encode())
+        with pytest.raises(StorageError):
+            header.region_of_point(0.0, 0.0)
+
+    def test_empty_split_table(self):
+        with pytest.raises(StorageError):
+            make_header(tree_splits=[]).region_of_point(0.0, 0.0)
+
+
 class TestLookupFile:
     def test_entries_round_trip(self):
         database = Database(page_size=64)
@@ -98,6 +167,12 @@ class TestLookupFile:
                 index = region_i * 5 + region_j
                 page = lookup.read_page(index // entries_per_page)
                 assert read_lookup_entry(page, index % entries_per_page) == index
+
+    def test_slot_past_page_end(self):
+        page = bytes(64)
+        assert read_lookup_entry(page, 15) == 0
+        with pytest.raises(StorageError):
+            read_lookup_entry(page, 16)
 
     def test_page_count(self):
         database = Database(page_size=64)

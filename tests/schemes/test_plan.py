@@ -39,6 +39,16 @@ class TestQueryPlan:
         assert [event.file_name for event in round4] == ["index"] * 2 + ["data"] * 5
         assert view.num_rounds() == 4
 
+    def test_expected_view_is_built_once_per_plan(self):
+        plan = sample_plan()
+        view = plan.expected_adversary_view()
+        assert plan.expected_adversary_view() is view
+        assert view == plan._build_adversary_view()
+        # the memo is not a dataclass field: equality, hashing and bytes hold
+        fresh = sample_plan()
+        assert fresh == plan and hash(fresh) == hash(plan)
+        assert fresh.encode() == plan.encode()
+
     def test_encode_decode_round_trip(self):
         plan = sample_plan()
         decoded = QueryPlan.decode(RecordReader(plan.encode()))

@@ -58,6 +58,21 @@ class TestPrimitives:
         with pytest.raises(StorageError):
             reader.raw(3)
 
+    @pytest.mark.parametrize("field", ["uint32", "uint16", "float32", "float64"])
+    def test_fixed_width_read_past_end(self, field):
+        reader = RecordReader(b"\x01", offset=0)
+        with pytest.raises(StorageError):
+            getattr(reader, field)()
+        assert reader.offset == 0
+
+    def test_fixed_width_read_at_offset_past_end(self):
+        with pytest.raises(StorageError):
+            RecordReader(b"\x01\x02\x03\x04\x05", offset=2).uint32()
+
+    def test_malformed_utf8_string(self):
+        with pytest.raises(StorageError):
+            RecordReader(b"\x02\xc3\x28").string()
+
 
 class TestVarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**14, 2**21 - 1, 2**32, 2**40])
