@@ -9,7 +9,7 @@ and batched CI/PI query execution through the engine against the PR 1
 client path (dict-merge ``RoadNetwork`` assembly plus a per-query CSR
 compile) — and asserts the speedups the fast path exists for.  A fourth
 benchmark serves the exact PIR request stream of an engine hotspot batch
-through a sharded versus a monolithic two-server XOR PIR database and
+through the 4-shard versus the unsharded XOR-serving page simulator and
 asserts the end-to-end throughput gain of sharding (≥ 1.5x at 4 shards).
 
 Run it directly (``PYTHONPATH=src python benchmarks/bench_micro_fastpath.py``,
@@ -23,6 +23,8 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import repro.schemes.assembly as assembly
@@ -38,7 +40,14 @@ from repro.network import (
     shortest_path,
     dijkstra_tree,
 )
-from repro.pir import ShardedPir, TwoServerXorPir, make_kernel, numpy_available
+from repro.pir import (
+    ShardedPirSimulator,
+    UsablePirSimulator,
+    answer_shares,
+    draw_shares,
+    make_kernel,
+    numpy_available,
+)
 from repro.pir.batch import random_subset_masks
 from repro.partition import decode_region_payload
 from repro.schemes import ConciseIndexScheme, PassageIndexScheme, QueryPlan
@@ -147,15 +156,19 @@ def run_dijkstra_microbench(num_nodes=1500, num_queries=60, seed=7):
 
 
 def run_pir_microbench(num_blocks=96, block_bytes=512, num_retrievals=60, seed=11):
-    """Batched integer-XOR retrieval vs. the seed's byte-at-a-time client."""
+    """The engine's batched XOR read (``draw_shares`` + ``answer_shares``)
+    vs. the seed's byte-at-a-time client."""
     rng = random.Random(seed)
     blocks = [bytes(rng.randrange(256) for _ in range(block_bytes)) for _ in range(num_blocks)]
     indices = [rng.randrange(num_blocks) for _ in range(num_retrievals)]
 
-    fast_pir = TwoServerXorPir(blocks, rng=random.Random(seed))
+    kernel = make_kernel(blocks)
+    client_rng = random.Random(seed)
     reference_pir = _ReferenceXorPir(blocks, rng=random.Random(seed))
 
-    fast_s, fast_blocks = _time(lambda: fast_pir.retrieve_many(indices))
+    fast_s, fast_blocks = _time(
+        lambda: answer_shares(kernel, *draw_shares(client_rng, num_blocks, indices))
+    )
     reference_s, reference_blocks = _time(
         lambda: [reference_pir.retrieve(index) for index in indices]
     )
@@ -285,14 +298,14 @@ def run_sharded_pir_microbench(num_nodes=1000, num_queries=80, num_shards=4, see
     Builds the CI database, pushes a hotspot workload through the batch
     engine, and extracts the *exact* PIR page-request stream the batch
     produced (every look-up, index, data and dummy retrieval of every
-    query).  That stream is then served through the real two-server XOR PIR
-    protocol twice: one monolithic database holding every page as a block,
-    versus the same pages split across ``num_shards`` independent
-    sub-databases (:class:`repro.pir.ShardedPir`).  Each unsharded retrieval
-    costs the servers XOR work linear in the *whole* database; sharded
-    retrievals only touch the owning shard, so batch throughput scales with
-    the shard count — that is the scalability lever the sharded engine
-    exists for.
+    query).  That stream is then served through the engine's XOR-serving
+    simulators twice, one ``retrieve_pages`` call per run of consecutive
+    requests against one file: the unsharded
+    :class:`repro.pir.UsablePirSimulator`, whose every retrieval XORs over
+    the whole file, versus a :class:`repro.pir.ShardedPirSimulator` whose
+    retrievals only touch the owning shard's slice of it — so batch
+    throughput scales with the shard count, the scalability lever the
+    sharded engine exists for.
     """
     network = random_planar_network(num_nodes, seed=seed)
     # a small page size yields a few hundred pages, the regime where the
@@ -305,40 +318,47 @@ def run_sharded_pir_microbench(num_nodes=1000, num_queries=80, num_shards=4, see
     batch = QueryEngine(scheme, pir_kernel="off").run_batch(
         pairs, verify_costs=False, pipeline=False
     )
-
-    # flatten the database into one block space: file -> global id offset
-    blocks = []
-    offsets = {}
-    for file_name in sorted(scheme.database.file_names()):
-        offsets[file_name] = len(blocks)
-        page_file = scheme.database.file(file_name)
-        blocks.extend(page_file.read_page(n) for n in range(page_file.num_pages))
+    database = scheme.database
     stream = [
-        offsets[file_name] + page
+        (file_name, page)
         for result in batch.results
         for _, file_name, page in result.trace.private_page_requests()
     ]
     # the whole batch stream is thousands of retrievals; a deterministic
     # slice keeps the benchmark fast while preserving the hotspot shape
     stream = stream[:256]
+    runs = [
+        (file_name, [page for _, page in group])
+        for file_name, group in groupby(stream, key=itemgetter(0))
+    ]
+
+    def serve(simulator):
+        return [
+            block
+            for file_name, pages in runs
+            for block in simulator.retrieve_pages(file_name, pages)
+        ]
 
     # pinned to the big-int kernel on both sides: this benchmark measures the
     # sharding topology (per-retrieval work linear in the owning database),
     # not the server kernel — the packed-kernel gain has its own benchmark
-    unsharded = TwoServerXorPir(blocks, kernel="bigint")
-    sharded = ShardedPir(blocks, num_shards, kernel="bigint")
+    unsharded = UsablePirSimulator(database, spec=spec, xor_kernel="bigint")
+    sharded = ShardedPirSimulator(
+        database, spec=spec, num_shards=num_shards, xor_kernel="bigint"
+    )
+    expected = [database.file(file_name).read_page(page) for file_name, page in stream]
+    # one untimed pass each also builds every file's (per-shard) kernel
+    assert serve(unsharded) == expected, "unsharded PIR returned wrong blocks"
+    assert serve(sharded) == expected, "sharded PIR returned wrong blocks"
 
-    unsharded_s, unsharded_blocks = _time(lambda: unsharded.retrieve_many(stream))
-    sharded_s, sharded_blocks = _time(lambda: sharded.retrieve_many(stream))
-
-    expected = [blocks[index] for index in stream]
-    assert unsharded_blocks == expected, "unsharded PIR returned wrong blocks"
-    assert sharded_blocks == expected, "sharded PIR returned wrong blocks"
+    unsharded_s, unsharded_blocks = _time(lambda: serve(unsharded))
+    sharded_s, sharded_blocks = _time(lambda: serve(sharded))
+    assert unsharded_blocks == sharded_blocks == expected
 
     return {
         "nodes": num_nodes,
         "queries": num_queries,
-        "blocks": len(blocks),
+        "blocks": sum(database.file(name).num_pages for name in database.file_names()),
         "shards": num_shards,
         "retrievals": len(stream),
         "fast_s": sharded_s,

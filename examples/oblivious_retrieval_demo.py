@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
-"""Demonstrate the PIR building blocks on a real (small) page file.
+"""Demonstrate the PIR building block on a real (small) page file.
 
 The paper treats PIR as a black box with proven guarantees.  This example
 opens the box on a demonstration scale: it builds a small region-data file,
-then retrieves one of its pages through
+then retrieves one of its pages through the same two-server XOR read the
+query engine uses (``UsablePirSimulator`` with a server kernel switched on),
+showing that the retrieved page is bit-exact while each individual server
+observes only a uniformly random subset of page numbers.
 
-* the two-server information-theoretic XOR PIR, and
-* the single-server computational PIR built on Paillier encryption,
-
-showing in both cases that the retrieved page is bit-exact while the
-individual server observes nothing that depends on the requested page number.
-
-Run with:  python examples/oblivious_retrieval_demo.py   (takes ~10-30 s; the
-Paillier arithmetic is intentionally unoptimised pure Python)
+Run with:  python examples/oblivious_retrieval_demo.py   (takes ~1 s)
 """
 
-from repro import SystemSpec, random_planar_network
+from repro import SystemSpec, UsablePirSimulator, random_planar_network
 from repro.partition import packed_kdtree_partition
-from repro.pir import AdditivePirClient, TwoServerXorPir
 from repro.schemes.files import build_region_data_file
 from repro.storage import Database
 
@@ -36,31 +31,21 @@ def main() -> None:
     print(f"client wants page {wanted} (the region data of region {wanted})\n")
 
     # --- two-server information-theoretic PIR -------------------------------
-    xor_pir = TwoServerXorPir(pages, log_queries=True)
-    retrieved = xor_pir.retrieve(wanted)
-    print("two-server XOR PIR:")
+    pir = UsablePirSimulator(database, spec=spec, xor_kernel="auto", log_queries=True)
+    retrieved = pir.retrieve_page(data_file.name, wanted)
+    print(f"two-server XOR PIR ({pir.xor_kernel} server kernel):")
     print(f"  retrieved page matches original: {retrieved == pages[wanted]}")
-    subset = xor_pir.server_a.queries_seen[-1]
+    (file_name, subset_a), (_, subset_b) = pir.queries_seen[-2:]
     print(
-        f"  server A only saw a random subset of {len(subset)} page indices "
-        f"(contains the wanted page: {wanted in subset} — uninformative either way)\n"
+        f"  server A only saw a random subset of {len(subset_a)} page indices of "
+        f"{file_name!r} (contains the wanted page: {wanted in subset_a} — "
+        "uninformative either way)"
     )
-
-    # --- single-server computational PIR (Paillier) -------------------------
-    # Smaller blocks keep the homomorphic arithmetic quick for the demo.
-    small_blocks = [page[:64] for page in pages[:12]]
-    additive_pir = AdditivePirClient(small_blocks, key_bits=512, chunk_bytes=32, log_queries=True)
-    wanted_small = 7
-    retrieved_small = additive_pir.retrieve(wanted_small)
-    print("single-server Paillier PIR (64-byte blocks):")
-    print(f"  retrieved block matches original: {retrieved_small == small_blocks[wanted_small]}")
-    ciphertexts = additive_pir.server.queries_seen[-1]
     print(
-        f"  server saw {len(ciphertexts)} Paillier ciphertexts as the selection vector; "
-        "distinguishing the single Enc(1) from the Enc(0)s would break the "
-        "decisional composite residuosity assumption."
+        f"  server B saw {len(subset_b)} indices; the two subsets differ in exactly "
+        f"the wanted page ({sorted(subset_a ^ subset_b) == [wanted]}), which only "
+        "the client, holding both, can use"
     )
-
 
 if __name__ == "__main__":
     main()

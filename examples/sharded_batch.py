@@ -13,20 +13,22 @@ results, traces or what the adversary observes:
 
 This demo runs the same workload serial, sharded+threaded and
 sharded+process, shows the results are identical, and then serves the
-batch's PIR request stream through a real sharded two-server XOR PIR to
-show where the throughput comes from: each retrieval only costs XOR work in
-the owning shard, not the whole database.
+batch's PIR request stream through the unsharded and the 4-shard XOR-serving
+simulators to show where the throughput comes from: each retrieval only costs
+XOR work in the owning shard's slice of the file, not the whole file.
 
 Run with: ``PYTHONPATH=src python examples/sharded_batch.py``
 """
 
 import time
+from itertools import groupby
+from operator import itemgetter
 
 from repro.bench.workloads import generate_hotspot_workload
 from repro.costmodel import SystemSpec
 from repro.engine import QueryEngine
 from repro.network import random_planar_network
-from repro.pir import ShardedPir, TwoServerXorPir
+from repro.pir import ShardedPirSimulator, UsablePirSimulator
 from repro.schemes import ConciseIndexScheme
 
 
@@ -53,28 +55,40 @@ def main() -> None:
     print(f"  results bit-identical across all plans: {identical}")
 
     print("\n== why sharding pays: the PIR serving bill ==")
-    blocks = []
-    offsets = {}
-    for file_name in sorted(scheme.database.file_names()):
-        offsets[file_name] = len(blocks)
-        page_file = scheme.database.file(file_name)
-        blocks.extend(page_file.read_page(n) for n in range(page_file.num_pages))
+    database = scheme.database
     stream = [
-        offsets[file_name] + page
+        (file_name, page)
         for result in serial.results
         for _, file_name, page in result.trace.private_page_requests()
     ][:128]
+    # one batched read per run of consecutive requests against one file
+    runs = [
+        (file_name, [page for _, page in group])
+        for file_name, group in groupby(stream, key=itemgetter(0))
+    ]
+    expected = [database.file(file_name).read_page(page) for file_name, page in stream]
 
-    monolithic = TwoServerXorPir(blocks)
-    split = ShardedPir(blocks, num_shards=4)
-    started = time.perf_counter()
-    answers_mono = monolithic.retrieve_many(stream)
-    mono_s = time.perf_counter() - started
-    started = time.perf_counter()
-    answers_split = split.retrieve_many(stream)
-    split_s = time.perf_counter() - started
-    assert answers_mono == answers_split == [blocks[index] for index in stream]
-    print(f"  database: {len(blocks)} pages; replayed {len(stream)} retrievals "
+    def serve(simulator):
+        return [
+            block
+            for file_name, pages in runs
+            for block in simulator.retrieve_pages(file_name, pages)
+        ]
+
+    def timed(simulator):
+        assert serve(simulator) == expected  # also packs every file up front
+        started = time.perf_counter()
+        serve(simulator)
+        return time.perf_counter() - started
+
+    # the big-int server kernel on both sides: XOR work linear in the database
+    # each retrieval reads, which is what sharding divides
+    mono_s = timed(UsablePirSimulator(database, spec=scheme.spec, xor_kernel="bigint"))
+    split_s = timed(
+        ShardedPirSimulator(database, spec=scheme.spec, num_shards=4, xor_kernel="bigint")
+    )
+    total_pages = sum(database.file(name).num_pages for name in database.file_names())
+    print(f"  database: {total_pages} pages; replayed {len(stream)} retrievals "
           "of the batch's private request stream")
     print(f"  monolithic database : {len(stream) / mono_s:8.0f} retrievals/s")
     print(f"  4 independent shards: {len(stream) / split_s:8.0f} retrievals/s "

@@ -56,14 +56,10 @@ from .partition import (
 )
 from .pir import (
     AccessTrace,
-    AdditivePirClient,
     AdversaryView,
-    OramBackedPir,
     SecureCoprocessor,
-    ShardedPir,
     ShardedPirSimulator,
     SquareRootOram,
-    TwoServerXorPir,
     UsablePirSimulator,
 )
 from .precompute import (
@@ -93,7 +89,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessTrace",
-    "AdditivePirClient",
     "AdversaryView",
     "ApproximatePassageIndexScheme",
     "ArcFlagScheme",
@@ -111,7 +106,6 @@ __all__ = [
     "LruCache",
     "NoPathError",
     "ObfuscationScheme",
-    "OramBackedPir",
     "Page",
     "PageFile",
     "PageOverflowError",
@@ -130,12 +124,10 @@ __all__ = [
     "Scheme",
     "SchemeError",
     "SecureCoprocessor",
-    "ShardedPir",
     "ShardedPirSimulator",
     "SquareRootOram",
     "StorageError",
     "SystemSpec",
-    "TwoServerXorPir",
     "UsablePirSimulator",
     "astar_search",
     "bidirectional_dijkstra",

@@ -129,12 +129,11 @@ class UnseededRandomRule(Rule):
 
 
 #: Where subset masks may be drawn: ``draw_shares`` for everything the engine
-#: reads through, and three files that own streams of their own (the
-#: primitive, the standalone two-server protocol, the load generator).
+#: reads through, and two files that own streams of their own (the primitive
+#: and the load generator).
 MASK_DRAW_FUNCTION = ("src/repro/pir/kernels.py", "draw_shares")
 MASK_DRAW_FILES = (
     "src/repro/pir/batch.py",
-    "src/repro/pir/xor_pir.py",
     "src/repro/serving/loadgen.py",
 )
 

@@ -121,6 +121,8 @@ def decode_region_payload_compact(
     min_x, min_y, span_x, span_y = struct.unpack_from("<4d", data, 0)
     offset = 32
     inverse_resolution, offset = decode_varint(data, offset)
+    if inverse_resolution == 0:
+        raise StorageError("corrupt compact payload: zero coordinate resolution")
     resolution = 1.0 / inverse_resolution
     node_ids, offset = delta_decode_ids(data, offset)
     coord_ticks, offset = decode_uint_sequence(data, offset)

@@ -1,11 +1,4 @@
-"""Batched PIR retrieval: subset-mask helpers and the generic batch driver.
-
-Every :class:`~repro.pir.protocol.PirProtocol` exposes ``retrieve_many``; the
-base class falls back to repeated single retrievals, while protocols that can
-amortize work across a batch override it (``TwoServerXorPir`` draws the random
-subsets for the whole batch from one ``getrandbits`` call and answers them in
-one pass per server).  This module holds the shared bitmask utilities and a
-convenience front end.
+"""Subset-mask helpers shared by the XOR-PIR client and server kernels.
 
 Subsets of block indices are represented as integer bitmasks: bit ``i`` set
 means block ``i`` is in the subset.  On top of being compact, this lets the
@@ -15,7 +8,7 @@ byte-at-a-time loops.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..exceptions import PirError
 
@@ -55,16 +48,6 @@ def mask_indices(mask: int, num_blocks: Optional[int] = None) -> List[int]:
     return indices
 
 
-def indices_mask(indices: Sequence[int]) -> int:
-    """The subset bitmask naming ``indices``."""
-    mask = 0
-    for index in indices:
-        if index < 0:
-            raise PirError(f"block index {index} out of range")
-        mask |= 1 << index
-    return mask
-
-
 def random_subset_masks(rng, num_blocks: int, count: int) -> List[int]:
     """``count`` independent uniform subset masks over ``num_blocks`` blocks.
 
@@ -83,11 +66,3 @@ def random_subset_masks(rng, num_blocks: int, count: int) -> List[int]:
     full = (1 << num_blocks) - 1
     return [(bits >> (position * num_blocks)) & full for position in range(count)]
 
-
-def retrieve_many(protocol, indices: Sequence[int]) -> List[bytes]:
-    """Retrieve a batch of blocks through any PIR protocol.
-
-    Thin front end over ``protocol.retrieve_many`` so call sites can stay
-    agnostic of which protocol (and which batching strategy) is in use.
-    """
-    return protocol.retrieve_many(indices)

@@ -1022,6 +1022,13 @@ def draw_shares(
     return masks_a, masks_b
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Byte-wise XOR of two equal-length byte strings."""
+    if len(a) != len(b):
+        raise PirError("cannot XOR byte strings of different lengths")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
 def answer_shares(
     kernel: ServerKernel, masks_a: List[int], masks_b: List[int]
 ) -> List[bytes]:
@@ -1037,9 +1044,6 @@ def answer_shares(
         rows = kernel.answer_rows(masks_a + masks_b)
         return kernel.rows_to_blocks(rows[: len(masks_a)] ^ rows[len(masks_a) :])
     return [
-        (
-            int.from_bytes(kernel.answer_mask(mask_a), "big")
-            ^ int.from_bytes(kernel.answer_mask(mask_b), "big")
-        ).to_bytes(kernel.block_size, "big")
+        xor_bytes(kernel.answer_mask(mask_a), kernel.answer_mask(mask_b))
         for mask_a, mask_b in zip(masks_a, masks_b)
     ]

@@ -37,7 +37,6 @@ import secrets
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PirError
-from .protocol import PirProtocol, validate_block_database
 
 #: Marker stored (encrypted) in the first byte of a slot payload.
 _REAL = 1
@@ -45,6 +44,21 @@ _DUMMY = 0
 
 #: Number of bytes used to encode the logical index inside a slot payload.
 _INDEX_BYTES = 8
+
+
+def _validate_block_database(blocks: Sequence[bytes]) -> List[bytes]:
+    """Check that all blocks have equal size and return them as a list."""
+    blocks = list(blocks)
+    if not blocks:
+        raise ValueError("an ORAM needs at least one block")
+    size = len(blocks[0])
+    for position, block in enumerate(blocks):
+        if len(block) != size:
+            raise ValueError(
+                f"block {position} has {len(block)} bytes, expected {size} "
+                "(ORAM slots hold equal-sized blocks)"
+            )
+    return blocks
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
@@ -155,7 +169,7 @@ class SquareRootOram:
         blocks: Sequence[bytes],
         rng: Optional[secrets.SystemRandom] = None,
     ) -> None:
-        blocks = validate_block_database(blocks)
+        blocks = _validate_block_database(blocks)
         self._num_blocks = len(blocks)
         self._block_size = len(blocks[0])
         self._rng = rng if rng is not None else secrets.SystemRandom()
@@ -338,31 +352,3 @@ class SquareRootOram:
             self._install_permutation()
         return value
 
-
-class OramBackedPir(PirProtocol):
-    """A :class:`PirProtocol` whose retrievals run through a real square-root ORAM.
-
-    This is the end-to-end demonstrator used by tests and examples: page
-    retrievals issued by the schemes can be served by an actual oblivious
-    storage rather than the cost-only simulator.
-    """
-
-    def __init__(self, blocks: Sequence[bytes], rng: Optional[secrets.SystemRandom] = None) -> None:
-        blocks = validate_block_database(blocks)
-        self._oram = SquareRootOram(blocks, rng=rng)
-
-    @property
-    def num_blocks(self) -> int:
-        return self._oram.num_blocks
-
-    @property
-    def oram(self) -> SquareRootOram:
-        return self._oram
-
-    @property
-    def server(self) -> OramServer:
-        """The untrusted storage (exposes the physical access log)."""
-        return self._oram.server
-
-    def retrieve(self, index: int) -> bytes:
-        return self._oram.read(index)

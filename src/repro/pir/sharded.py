@@ -8,22 +8,16 @@ owning the requested block, cutting server work per retrieval to ``1/S`` and
 letting the shards answer a batch's sub-streams independently (in a real
 deployment: on separate machines).
 
-Two layers live here, mirroring the two PIR layers of the package:
-
-* :class:`ShardedPir` wraps any block-level
-  :class:`~repro.pir.protocol.PirProtocol`: the block database is split by a
-  :class:`ShardMap` (round-robin or range sharding by block id), one protocol
-  instance is built per shard, and the shard-aware :meth:`ShardedPir.
-  retrieve_many` routes each shard's sub-batch to it independently.
-* :class:`ShardedPirSimulator` is the engine-facing layer: a drop-in
-  :class:`~repro.pir.scp.UsablePirSimulator` whose page reads route through
-  per-shard :class:`PirShard` connections, each owning its slice of every
-  page file.  Traces, plan conformance and the simulated cost model are
-  byte-identical to the unsharded simulator — sharding the simulator is a
-  *physical* storage/throughput decision, invisible to the adversary model.
-  :class:`PirShard` is the only shard connection — the two-server XOR client —
-  whatever :class:`ShardTransport` (in process here, TCP in
-  :mod:`repro.serving.client`) carries its shares.
+:class:`ShardedPirSimulator` is a drop-in
+:class:`~repro.pir.scp.UsablePirSimulator` whose page reads route through
+per-shard :class:`PirShard` connections, each owning its slice of every page
+file by a :class:`ShardMap` (round-robin or range sharding by page id).
+Traces, plan conformance and the simulated cost model are byte-identical to
+the unsharded simulator — sharding the simulator is a *physical*
+storage/throughput decision, invisible to the adversary model.
+:class:`PirShard` is the only shard connection — the two-server XOR client —
+whatever :class:`ShardTransport` (in process here, TCP in
+:mod:`repro.serving.client`) carries its shares.
 
 Privacy note (documented, and asserted by the tests): within a shard the
 underlying protocol's guarantee is untouched, but the adversary additionally
@@ -63,9 +57,7 @@ from .kernels import (
     shared_kernel_key,
     shared_pack_registry,
 )
-from .protocol import PirProtocol, validate_block_database
 from .scp import SecureCoprocessor, UsablePirSimulator
-from .xor_pir import TwoServerXorPir
 
 if TYPE_CHECKING:
     from ..storage.pagefile import PageFile
@@ -161,106 +153,13 @@ class ShardMap:
                 sizes[shard] = starts[shard + 1] - starts[shard]
         return sizes
 
-    def split(self, blocks: Sequence) -> List[List]:
-        """Partition ``blocks`` (indexed by global id) into per-shard lists.
-
-        Each shard's list is ordered by local id, so
-        ``split(blocks)[s][l] == blocks[global_index(s, l)]``.
-        """
-        if len(blocks) != self.num_blocks:
-            raise PirError(
-                f"expected {self.num_blocks} blocks to split, got {len(blocks)}"
-            )
-        if self.strategy == "round-robin":
-            return [list(blocks[shard :: self.num_shards]) for shard in range(self.num_shards)]
-        starts = self._range_starts
-        return [
-            list(blocks[starts[shard] : starts[shard + 1]])
-            for shard in range(self.num_shards)
-        ]
-
     def _check(self, index: int) -> None:
         if index < 0 or index >= self.num_blocks:
             raise PirError(f"block index {index} out of range")
 
 
-#: Builds the per-shard protocol instance from that shard's block list.
-ProtocolFactory = Callable[[Sequence[bytes]], PirProtocol]
-
-
-class ShardedPir(PirProtocol):
-    """A PIR protocol over ``S`` independent sub-databases.
-
-    The block database is split by a :class:`ShardMap`; one underlying
-    protocol instance (default: :class:`~repro.pir.xor_pir.TwoServerXorPir`)
-    serves each shard.  :meth:`retrieve_many` groups a batch by owning shard
-    and answers each shard's sub-batch through that shard's own batched
-    retrieval, so the per-retrieval server work scales with the shard size,
-    not the database size.
-    """
-
-    def __init__(
-        self,
-        blocks: Sequence[bytes],
-        num_shards: int,
-        strategy: str = "round-robin",
-        protocol_factory: Optional[ProtocolFactory] = None,
-        log_queries: bool = False,
-        kernel: Optional[str] = None,
-    ) -> None:
-        blocks = validate_block_database(blocks)
-        if num_shards > len(blocks):
-            raise PirError(
-                f"cannot split {len(blocks)} blocks across {num_shards} shards "
-                "(every shard needs at least one block)"
-            )
-        self.shard_map = ShardMap(len(blocks), num_shards, strategy)
-        if protocol_factory is None:
-            # each shard packs its own (1/S-sized) database through the
-            # selected server kernel; ``kernel=None`` keeps runtime selection
-            protocol_factory = lambda shard_blocks: TwoServerXorPir(
-                shard_blocks, log_queries=log_queries, kernel=kernel
-            )
-        self.shards: List[PirProtocol] = [
-            protocol_factory(shard_blocks)
-            for shard_blocks in self.shard_map.split(blocks)
-        ]
-        self._num_blocks = len(blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return self._num_blocks
-
-    @property
-    def num_shards(self) -> int:
-        return self.shard_map.num_shards
-
-    def retrieve(self, index: int) -> bytes:
-        shard, local = self.shard_map.locate(index)
-        return self.shards[shard].retrieve(local)
-
-    def retrieve_many(self, indices: Sequence[int]) -> List[bytes]:
-        """Batched retrieval routed shard by shard.
-
-        Each shard answers its sub-batch independently (one batched call per
-        shard); results are scattered back into request order, so the method
-        is a drop-in replacement for any protocol's ``retrieve_many``.
-        """
-        indices = list(indices)
-        by_shard: Dict[int, List[Tuple[int, int]]] = {}
-        for position, index in enumerate(indices):
-            shard, local = self.shard_map.locate(index)
-            by_shard.setdefault(shard, []).append((position, local))
-        results: List[Optional[bytes]] = [None] * len(indices)
-        for shard, sub_batch in by_shard.items():
-            answers = self.shards[shard].retrieve_many([local for _, local in sub_batch])
-            for (position, _), answer in zip(sub_batch, answers):
-                results[position] = answer
-        return cast(List[bytes], results)
-
-
 # ---------------------------------------------------------------------- #
-# engine-facing layer: sharding the simulated page store
+# sharding the simulated page store
 # ---------------------------------------------------------------------- #
 class ShardedPageStore:
     """The partitioned *view* behind a sharded page simulator.

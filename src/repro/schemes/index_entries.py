@@ -356,6 +356,20 @@ def _decode_page_entries(page_bytes: bytes) -> List[_RawDecodedEntry]:
     return entries
 
 
+def _delta_reference(
+    resolved: List[IndexEntry], entry: _RawDecodedEntry, position: int
+) -> IndexEntry:
+    """The earlier entry a delta entry builds on; untrusted page bytes may
+    name a later, missing or negative position."""
+    reference = entry.reference_position
+    if reference is None or not 0 <= reference < position:
+        raise StorageError(
+            f"index delta entry {position} references entry {reference}, "
+            "not an earlier one"
+        )
+    return resolved[reference]
+
+
 def _resolve_page(entries: List[_RawDecodedEntry]) -> List[IndexEntry]:
     """Resolve delta references within a single page."""
     resolved: List[IndexEntry] = []
@@ -363,7 +377,7 @@ def _resolve_page(entries: List[_RawDecodedEntry]) -> List[IndexEntry]:
         if entry.kind == KIND_REGION_RAW:
             resolved.append(IndexEntry(entry.key, frozenset(entry.regions), None))
         elif entry.kind == KIND_REGION_DELTA:
-            reference = resolved[entry.reference_position]
+            reference = _delta_reference(resolved, entry, position)
             if reference.regions is None:
                 raise StorageError("region-set delta references a subgraph entry")
             effective = (reference.regions | set(entry.regions)) - set(entry.exclusions)
@@ -371,7 +385,7 @@ def _resolve_page(entries: List[_RawDecodedEntry]) -> List[IndexEntry]:
         elif entry.kind == KIND_SUBGRAPH_RAW:
             resolved.append(IndexEntry(entry.key, None, frozenset(entry.edges)))
         else:  # KIND_SUBGRAPH_DELTA
-            reference = resolved[entry.reference_position]
+            reference = _delta_reference(resolved, entry, position)
             if reference.edges is None:
                 raise StorageError("subgraph delta references a region-set entry")
             effective = reference.edges | set(entry.edges)

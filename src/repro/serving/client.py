@@ -36,9 +36,9 @@ from ..exceptions import PirError
 # not called here (remote draws run in ``pir.kernels.draw_shares``): the frozen
 # e2e tracer binds this module's name until ROADMAP item 3 replaces its patch list
 from ..pir.batch import random_subset_masks  # noqa: F401
+from ..pir.kernels import xor_bytes
 from ..pir.sharded import ShardedPageStore, ShardedPirSimulator
 from ..pir.scp import SecureCoprocessor
-from ..pir.xor_pir import xor_bytes
 from ..storage import Database
 from . import wire
 

@@ -35,8 +35,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..exceptions import PirError
 from ..pir.batch import random_subset_masks
+from ..pir.kernels import xor_bytes
 from ..pir.sharded import ShardedPageStore
-from ..pir.xor_pir import xor_bytes
 from ..storage import Database
 from . import wire
 

@@ -75,6 +75,11 @@ class TestCompactCodecRoundtrip:
         with pytest.raises(StorageError):
             decode_region_payload_compact(b"short")
 
+    def test_zero_resolution_rejected(self):
+        # 32 header bytes, a zero inverse-resolution varint, then padding
+        with pytest.raises(StorageError):
+            decode_region_payload_compact(bytes(32) + b"\x00" + bytes(16))
+
     def test_invalid_config(self):
         with pytest.raises(StorageError):
             CompactCodecConfig(weight_resolution=-1.0)

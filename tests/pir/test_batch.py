@@ -1,4 +1,4 @@
-"""Tests for batched PIR retrieval helpers and opt-in adversary logging."""
+"""Tests for the subset-mask helpers and the kernels' mask validation."""
 
 import random
 
@@ -6,14 +6,14 @@ import pytest
 
 from repro.exceptions import PirError
 from repro.pir import (
-    TwoServerXorPir,
-    XorPirServer,
-    indices_mask,
+    make_kernel,
     mask_indices,
+    numpy_available,
     random_subset_masks,
-    retrieve_many,
     xor_bytes,
 )
+
+KERNELS = ("bigint", "numpy") if numpy_available() else ("bigint",)
 
 
 def make_blocks(count=8, size=32, seed=0):
@@ -21,20 +21,21 @@ def make_blocks(count=8, size=32, seed=0):
     return [bytes(rng.randrange(256) for _ in range(size)) for _ in range(count)]
 
 
+def subset_mask(indices):
+    return sum(1 << index for index in indices)
+
+
 class TestMaskHelpers:
     def test_roundtrip(self):
         indices = [0, 3, 7, 12]
-        assert mask_indices(indices_mask(indices)) == indices
+        assert mask_indices(subset_mask(indices)) == indices
 
     def test_empty_mask(self):
         assert mask_indices(0) == []
-        assert indices_mask([]) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(PirError):
             mask_indices(-1)
-        with pytest.raises(PirError):
-            indices_mask([-2])
 
     def test_random_masks_are_bounded(self):
         rng = random.Random(5)
@@ -61,66 +62,33 @@ class TestMaskHelpers:
         assert mask_indices(1 << 40) == [40]
 
 
+@pytest.mark.parametrize("kernel_name", KERNELS)
 class TestAnswerMask:
-    def test_mask_answer_matches_subset_answer(self):
+    def test_mask_answer_matches_subset_answer(self, kernel_name):
         blocks = make_blocks(6, 16)
-        server = XorPirServer(blocks)
-        subset = {0, 2, 5}
-        assert server.answer_mask(indices_mask(subset)) == server.answer(subset)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        subset = [0, 2, 5]
+        assert kernel.answer_mask(subset_mask(subset)) == kernel.answer_indices(subset)
 
-    def test_out_of_range_mask_rejected(self):
-        server = XorPirServer(make_blocks(3, 8))
+    def test_out_of_range_mask_rejected(self, kernel_name):
+        kernel = make_kernel(make_blocks(3, 8), kernel=kernel_name)
         with pytest.raises(PirError):
-            server.answer_mask(1 << 3)
+            kernel.answer_mask(1 << 3)
+        with pytest.raises(PirError):
+            kernel.answer_many([0b001, 1 << 3])
 
-    def test_corrupted_mask_rejected_not_misdecoded(self):
+    def test_corrupted_mask_rejected_not_misdecoded(self, kernel_name):
         # a mask whose low bits are valid but which also names block 7 of a
         # 3-block database must error, not silently drop the invalid bit
-        server = XorPirServer(make_blocks(3, 8))
+        kernel = make_kernel(make_blocks(3, 8), kernel=kernel_name)
         with pytest.raises(PirError):
-            server.answer_mask(0b101 | (1 << 7))
+            kernel.answer_mask(0b101 | (1 << 7))
+        with pytest.raises(PirError):
+            kernel.answer_many([0b101 | (1 << 7)])
 
-    def test_answer_many(self):
+    def test_answer_many(self, kernel_name):
         blocks = make_blocks(5, 8)
-        server = XorPirServer(blocks)
-        masks = [indices_mask({0}), indices_mask({1, 2})]
-        answers = server.answer_many(masks)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        answers = kernel.answer_many([subset_mask([0]), subset_mask([1, 2])])
         assert answers[0] == blocks[0]
         assert answers[1] == xor_bytes(blocks[1], blocks[2])
-
-
-class TestBatchedProtocol:
-    def test_retrieve_many_front_end(self):
-        blocks = make_blocks(10, 24)
-        pir = TwoServerXorPir(blocks)
-        indices = [9, 0, 4, 4]
-        assert retrieve_many(pir, indices) == [blocks[index] for index in indices]
-
-    def test_retrieve_many_rejects_bad_index(self):
-        pir = TwoServerXorPir(make_blocks(4, 8))
-        with pytest.raises(PirError):
-            pir.retrieve_many([0, 4])
-
-    def test_retrieve_many_empty(self):
-        pir = TwoServerXorPir(make_blocks(4, 8))
-        assert pir.retrieve_many([]) == []
-
-    def test_logging_defaults_off(self):
-        """The adversary-view log must not grow during normal operation
-        (it previously grew by one entry per retrieval, unbounded)."""
-        pir = TwoServerXorPir(make_blocks(6, 8))
-        pir.retrieve_many(list(range(6)) * 3)
-        pir.retrieve(2)
-        assert pir.server_a.queries_seen == []
-        assert pir.server_b.queries_seen == []
-
-    def test_logging_opt_in_records_batch(self):
-        pir = TwoServerXorPir(make_blocks(6, 8), log_queries=True)
-        pir.retrieve_many([1, 3])
-        assert len(pir.server_a.queries_seen) == 2
-        assert len(pir.server_b.queries_seen) == 2
-        # server B's subset differs from server A's by exactly the wanted index
-        for wanted, seen_a, seen_b in zip(
-            [1, 3], pir.server_a.queries_seen, pir.server_b.queries_seen
-        ):
-            assert seen_a.symmetric_difference(seen_b) == {wanted}

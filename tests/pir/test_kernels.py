@@ -17,6 +17,7 @@ from repro.pir import (
     random_subset_masks,
     resolve_kernel,
     shared_kernel,
+    xor_bytes,
 )
 from repro.pir.kernels import PackedDatabase, is_kernel
 from repro.storage import PageFile, open_page_store
@@ -60,6 +61,17 @@ def page_file_with(blocks, backend="memory", directory=None):
         page.append(block)
     page_file.flush()
     return page_file
+
+
+class TestXorBytes:
+    def test_xor_is_its_own_inverse(self):
+        a = b"\x01\x02\x03"
+        b = b"\xff\x00\x0f"
+        assert xor_bytes(xor_bytes(a, b), b) == a
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(PirError):
+            xor_bytes(b"ab", b"abc")
 
 
 class TestKernelSelection:
@@ -460,3 +472,17 @@ class TestObliviousReadMany:
         oblivious_read_many(kernel, random.Random(5), [7], log=seen.append)
         subset_a, subset_b = seen
         assert subset_a.symmetric_difference(subset_b) == {7}
+
+    def test_single_server_view_does_not_determine_index(self):
+        """Each server sees a uniformly random subset: repeating one read
+        sends different subsets, and the wanted index is in some but not all
+        of them, exactly as any other index is."""
+        kernel = make_kernel(make_blocks(8, 8), kernel="bigint")
+        rng = random.Random(21)
+        seen = []
+        for _ in range(30):
+            oblivious_read_many(kernel, rng, [2], log=seen.append)
+        server_a = seen[::2]
+        assert len(set(server_a)) > 1, "server A should not see a constant query"
+        containing = sum(1 for subset in server_a if 2 in subset)
+        assert 0 < containing < len(server_a)

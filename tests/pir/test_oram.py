@@ -1,4 +1,4 @@
-"""Tests for the square-root ORAM and its PIR adapter."""
+"""Tests for the square-root ORAM."""
 
 import secrets
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import PirError
 from repro.pir import (
-    OramBackedPir,
     OramServer,
     SquareRootOram,
     oblivious_sort_network,
@@ -236,26 +235,3 @@ class TestSquareRootOramObliviousness:
         for _ in range(4):  # one full epoch
             oram.read(0)
         assert oram.server._slots != snapshot
-
-
-class TestOramBackedPir:
-    def test_retrieve_matches_blocks(self):
-        blocks = make_blocks(10, size=32)
-        pir = OramBackedPir(blocks)
-        assert pir.num_blocks == 10
-        for index in (0, 3, 9, 3, 0):
-            assert pir.retrieve(index) == blocks[index]
-
-    def test_exposes_server_log(self):
-        pir = OramBackedPir(make_blocks(4))
-        pir.retrieve(1)
-        assert len(pir.server.access_log) > 0
-
-    def test_oram_property(self):
-        pir = OramBackedPir(make_blocks(4))
-        assert isinstance(pir.oram, SquareRootOram)
-
-    def test_invalid_index(self):
-        pir = OramBackedPir(make_blocks(4))
-        with pytest.raises(PirError):
-            pir.retrieve(99)

@@ -102,6 +102,18 @@ class TestUsablePirSimulator:
         relaxed = UsablePirSimulator(database, spec=spec, enforce_limits=False)
         assert relaxed.retrieve_page("data", 0)
 
+    def test_adversary_log_is_opt_in(self):
+        """XOR serving keeps the server-visible subsets only when asked:
+        the log grows by two subsets per retrieval, unbounded."""
+        database = make_database()
+        spec = SystemSpec(page_size=64)
+        reads = [0, 5, 5, 2]
+        quiet = UsablePirSimulator(database, spec=spec, xor_kernel="bigint")
+        logged = UsablePirSimulator(database, spec=spec, xor_kernel="bigint", log_queries=True)
+        assert quiet.retrieve_pages("data", reads) == logged.retrieve_pages("data", reads)
+        assert quiet.queries_seen == []
+        assert len(logged.queries_seen) == 2 * len(reads)
+
     def test_file_page_counts(self):
         pir = UsablePirSimulator(make_database(), spec=SystemSpec(page_size=64))
         assert pir.file_page_counts() == {"data": 6}

@@ -1,6 +1,4 @@
-"""Tests for the sharded PIR layer (shard maps, sharded protocol, simulator)."""
-
-import random
+"""Tests for the sharded PIR layer (shard maps, the sharded simulator)."""
 
 import pytest
 
@@ -9,16 +7,9 @@ from repro.exceptions import PirError
 from repro.pir import (
     AccessTrace,
     ShardMap,
-    ShardedPir,
     ShardedPirSimulator,
-    TwoServerXorPir,
     UsablePirSimulator,
 )
-
-
-def make_blocks(count=20, size=16, seed=0):
-    rng = random.Random(seed)
-    return [bytes(rng.randrange(256) for _ in range(size)) for _ in range(count)]
 
 
 class TestShardMap:
@@ -41,15 +32,6 @@ class TestShardMap:
         assert sum(sizes) == 11
         assert max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("strategy", ["round-robin", "range"])
-    def test_split_matches_locate(self, strategy):
-        blocks = make_blocks(13)
-        shard_map = ShardMap(13, 3, strategy)
-        split = shard_map.split(blocks)
-        for index, block in enumerate(blocks):
-            shard, local = shard_map.locate(index)
-            assert split[shard][local] == block
-
     def test_range_shards_are_contiguous(self):
         shard_map = ShardMap(10, 3, "range")
         shards = [shard_map.shard_of(index) for index in range(10)]
@@ -67,51 +49,6 @@ class TestShardMap:
             shard_map.locate(4)
         with pytest.raises(PirError):
             shard_map.global_index(2, 0)
-
-
-class TestShardedPir:
-    @pytest.mark.parametrize("strategy", ["round-robin", "range"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_retrieve_matches_blocks(self, strategy, num_shards):
-        blocks = make_blocks(23)
-        pir = ShardedPir(blocks, num_shards, strategy=strategy)
-        rng = random.Random(7)
-        indices = [rng.randrange(len(blocks)) for _ in range(40)]
-        assert pir.retrieve_many(indices) == [blocks[index] for index in indices]
-        assert pir.retrieve(11) == blocks[11]
-        assert pir.num_blocks == 23
-        assert pir.num_shards == num_shards
-
-    def test_sub_batches_answered_independently(self):
-        # each shard's underlying protocol must see only its own sub-batch
-        blocks = make_blocks(12)
-        pir = ShardedPir(blocks, 3, log_queries=True)
-        pir.retrieve_many(list(range(12)))
-        for shard in pir.shards:
-            assert len(shard.server_a.queries_seen) == 4
-
-    def test_custom_protocol_factory(self):
-        blocks = make_blocks(8)
-        made = []
-
-        def factory(shard_blocks):
-            protocol = TwoServerXorPir(shard_blocks)
-            made.append(protocol)
-            return protocol
-
-        pir = ShardedPir(blocks, 2, protocol_factory=factory)
-        assert len(made) == 2
-        assert pir.retrieve_many([0, 7]) == [blocks[0], blocks[7]]
-
-    def test_invalid_configuration_rejected(self):
-        blocks = make_blocks(4)
-        with pytest.raises(PirError):
-            ShardedPir(blocks, 5)  # a shard would be empty
-        pir = ShardedPir(blocks, 2)
-        with pytest.raises(PirError):
-            pir.retrieve(4)
-        with pytest.raises(PirError):
-            pir.retrieve_many([0, -1])
 
 
 @pytest.fixture(scope="module")

@@ -22,8 +22,7 @@ from repro.network import (
     reference_shortest_path,
     shortest_path,
 )
-from repro.pir import AdditivePirClient, TwoServerXorPir
-from repro.pir.paillier import generate_keypair
+from repro.pir import answer_shares, draw_shares, make_kernel
 
 SEEDS = [101, 202, 303]
 
@@ -111,18 +110,14 @@ class TestBatchedRetrievalAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_xor_retrieve_many_equals_repeated_retrieve(self, seed):
         blocks = make_blocks(24, 48, seed)
-        pir = TwoServerXorPir(blocks, rng=random.Random(seed))
+        kernel = make_kernel(blocks)
+        client = random.Random(seed)
         rng = random.Random(seed + 1)
         indices = [rng.randrange(len(blocks)) for _ in range(20)]
-        batched = pir.retrieve_many(indices)
-        singles = [pir.retrieve(index) for index in indices]
+        batched = answer_shares(kernel, *draw_shares(client, len(blocks), indices))
+        singles = [
+            answer_shares(kernel, *draw_shares(client, len(blocks), [index]))[0]
+            for index in indices
+        ]
         assert batched == singles
-        assert batched == [blocks[index] for index in indices]
-
-    def test_additive_retrieve_many_equals_repeated_retrieve(self):
-        blocks = make_blocks(5, 24, seed=7)
-        keypair = generate_keypair(256)
-        client = AdditivePirClient(blocks, chunk_bytes=8, keypair=keypair)
-        indices = [3, 0, 3, 4, 1]
-        batched = client.retrieve_many(indices)
         assert batched == [blocks[index] for index in indices]

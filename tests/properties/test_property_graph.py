@@ -1,6 +1,7 @@
 """Property-based tests on graph algorithms and the XOR PIR."""
 
 import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from repro.network import (
     grid_network,
     shortest_path,
 )
-from repro.pir import TwoServerXorPir
+from repro.pir import answer_shares, draw_shares, make_kernel
 
 
 def graph_strategy():
@@ -80,6 +81,7 @@ class TestXorPirProperties:
         st.data(),
     )
     def test_any_block_can_be_retrieved(self, blocks, data):
-        pir = TwoServerXorPir(blocks)
+        kernel = make_kernel(blocks)
         index = data.draw(st.integers(min_value=0, max_value=len(blocks) - 1))
-        assert pir.retrieve(index) == blocks[index]
+        shares = draw_shares(random.Random(index), len(blocks), [index])
+        assert answer_shares(kernel, *shares) == [blocks[index]]

@@ -18,8 +18,10 @@ from repro.network import random_planar_network
 from repro.pir import (
     BigIntKernel,
     ShardedPirSimulator,
-    TwoServerXorPir,
     UsablePirSimulator,
+    answer_shares,
+    draw_shares,
+    make_kernel,
     numpy_available,
 )
 from repro.schemes import ConciseIndexScheme
@@ -124,15 +126,10 @@ class TestKernelOracleParity:
         indices = [seed % len(blocks), 0, len(blocks) - 1]
         outcomes = {}
         for name in ("bigint", "numpy"):
-            pir = TwoServerXorPir(
-                blocks, rng=random.Random(seed), log_queries=True, kernel=name
-            )
-            answers = pir.retrieve_many(indices)
-            outcomes[name] = (
-                answers,
-                pir.server_a.queries_seen,
-                pir.server_b.queries_seen,
-            )
+            seen = []
+            shares = draw_shares(random.Random(seed), len(blocks), indices, seen.append)
+            answers = answer_shares(make_kernel(blocks, kernel=name), *shares)
+            outcomes[name] = (answers, seen)
         assert outcomes["bigint"] == outcomes["numpy"]
         assert outcomes["bigint"][0] == [blocks[index] for index in indices]
 

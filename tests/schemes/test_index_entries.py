@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import repro
-from repro.exceptions import SchemeError
+from repro.exceptions import SchemeError, StorageError
 from repro.schemes.index_entries import (
+    KIND_REGION_DELTA,
     KIND_REGION_RAW,
+    KIND_SUBGRAPH_DELTA,
     KIND_SUBGRAPH_RAW,
     IndexFileBuilder,
     _ELEMENT_BYTES,
@@ -22,6 +24,7 @@ from repro.schemes.index_entries import (
     _framed_raw_size,
     _varint_size,
     decode_index_entry,
+    resolve_page_image,
 )
 from repro.storage import PageFile, RecordWriter, encode_varint
 
@@ -159,6 +162,41 @@ class TestDecoding:
         assert len(page) == 256  # padded
         entry = decode_index_entry([page], (0, 1))
         assert entry.regions == frozenset({2, 3, 4})
+
+
+def delta_entry(kind, key, reference_position):
+    """A hand-made delta entry naming ``reference_position`` as its base."""
+    writer = RecordWriter()
+    writer.uint32(key[0]).uint32(key[1]).raw(bytes([kind]))
+    writer.varint(reference_position)
+    if kind == KIND_REGION_DELTA:
+        writer.uint32_list([5]).uint32_list([])
+    else:
+        writer.varint(1).uint32(1).uint32(2).float32(1.5)
+    return _frame(writer.getvalue())
+
+
+class TestUntrustedDeltaReferences:
+    """A delta entry must build on an earlier entry of its page; any other
+    reference in (untrusted) page bytes is a typed StorageError."""
+
+    RAW = {
+        KIND_REGION_DELTA: (KIND_REGION_RAW, [1, 2]),
+        KIND_SUBGRAPH_DELTA: (KIND_SUBGRAPH_RAW, [(1, 2, 0.5)]),
+    }
+
+    @pytest.mark.parametrize("kind", [KIND_REGION_DELTA, KIND_SUBGRAPH_DELTA])
+    # the delta sits at position 1: it names itself, the later entry, none
+    @pytest.mark.parametrize("reference_position", [1, 2, 7])
+    def test_later_or_missing_reference_rejected(self, kind, reference_position):
+        raw_kind, elements = self.RAW[kind]
+        page = (
+            _frame(_encode_raw((0, 1), raw_kind, elements))
+            + delta_entry(kind, (0, 2), reference_position)
+            + _frame(_encode_raw((0, 3), raw_kind, elements))
+        )
+        with pytest.raises(StorageError):
+            resolve_page_image(page + bytes(8))
 
 
 class TestFragmentSizing:
