@@ -127,6 +127,21 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
 BlockFetcher = Callable[[Sequence[int]], Sequence[Union[bytes, memoryview]]]
 
 
+def _block_ints(
+    buffers: Iterable[Union[bytes, memoryview]], block_size: int, start: int
+) -> List[int]:
+    """``buffers`` as big-endian ints; a block of the wrong size raises
+    :class:`PirError`, as :meth:`PackedDatabase.from_fetcher` does."""
+    values = []
+    for offset, buffer in enumerate(buffers):
+        if len(buffer) != block_size:
+            raise PirError(
+                f"block {start + offset} has {len(buffer)} bytes, expected {block_size}"
+            )
+        values.append(int.from_bytes(bytes(buffer), "big"))
+    return values
+
+
 class BigIntKernel:
     """The big-int fold: one Python XOR per selected block (reference oracle)."""
 
@@ -137,9 +152,7 @@ class BigIntKernel:
             raise PirError("a PIR database needs at least one block")
         self.num_blocks = len(blocks)
         self.block_size = len(blocks[0])
-        self._block_ints = [
-            int.from_bytes(bytes(block), "big") for block in blocks
-        ]
+        self._block_ints = _block_ints(blocks, self.block_size, 0)
 
     @classmethod
     def from_fetcher(
@@ -151,9 +164,11 @@ class BigIntKernel:
         kernel.num_blocks = num_blocks
         kernel.block_size = block_size
         kernel._block_ints = [
-            int.from_bytes(bytes(buffer), "big")
+            value
             for start in range(0, num_blocks, 1024)
-            for buffer in fetch(range(start, min(num_blocks, start + 1024)))
+            for value in _block_ints(
+                fetch(range(start, min(num_blocks, start + 1024))), block_size, start
+            )
         ]
         return kernel
 
@@ -1010,9 +1025,14 @@ def draw_shares(
     ``random_subset_masks`` draw for the whole batch, share B is share A with
     the wanted block's bit flipped, and ``log`` receives each server-visible
     subset — the adversary view — A before B, in request order.  No I/O.
+    An index outside ``[0, num_blocks)`` raises :class:`PirError` before
+    anything is drawn or logged.
     """
     if not indices:
         return [], []
+    for index in indices:
+        if not 0 <= index < num_blocks:
+            raise PirError(f"block index {index} is out of range for {num_blocks} blocks")
     masks_a = random_subset_masks(rng, num_blocks, len(indices))
     masks_b = [mask ^ (1 << index) for mask, index in zip(masks_a, indices)]
     if log is not None:

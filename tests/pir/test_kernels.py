@@ -1,5 +1,6 @@
 """Tests for the pluggable XOR-PIR server kernels (packed numpy vs big-int)."""
 
+import importlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.storage import PageFile, open_page_store
 
 requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 without_numpy = pytest.mark.skipif(numpy_available(), reason="only without numpy")
+KERNELS = ("bigint", "numpy") if numpy_available() else ("bigint",)
 
 
 def oblivious_read_many(kernel, rng, indices, log=None):
@@ -72,6 +74,12 @@ class TestXorBytes:
     def test_length_mismatch_rejected(self):
         with pytest.raises(PirError):
             xor_bytes(b"ab", b"abc")
+
+    @pytest.mark.parametrize("module", ["repro.serving.client", "repro.serving.loadgen"])
+    def test_serving_modules_bind_the_kernel_xor(self, module):
+        """The e2e tracer wraps ``xor_bytes`` under each serving module's
+        name; both must be the kernel's one function."""
+        assert importlib.import_module(module).xor_bytes is xor_bytes
 
 
 class TestKernelSelection:
@@ -137,6 +145,68 @@ class TestBigIntKernel:
             kernel.answer_mask(-1)
         with pytest.raises(PirError):
             kernel.answer_mask(1 << 4)
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+class TestServerKernelAnswers:
+    """One server's answer off ``make_kernel``, whichever kernel serves it."""
+
+    def test_answer_is_xor_of_selected_blocks(self, kernel_name):
+        blocks = make_blocks(4, 8)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        assert kernel.answer_mask(0b0101) == xor_bytes(blocks[0], blocks[2])
+
+    def test_empty_mask_gives_zero_block(self, kernel_name):
+        kernel = make_kernel(make_blocks(3, 8), kernel=kernel_name)
+        assert kernel.answer_mask(0) == bytes(8)
+
+    @pytest.mark.parametrize("blocks", [[b"ab", b"abc"], [b"abc", b"ab"]])
+    def test_unequal_block_sizes_rejected(self, kernel_name, blocks):
+        with pytest.raises(PirError, match="block 1 has"):
+            make_kernel(blocks, kernel=kernel_name)
+
+    def test_database_shape(self, kernel_name):
+        kernel = make_kernel(make_blocks(5, 12), kernel=kernel_name)
+        assert (kernel.num_blocks, kernel.block_size) == (5, 12)
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+class TestTwoServerRead:
+    """``draw_shares`` -> ``answer_shares`` as a block-level private read."""
+
+    def test_retrieves_every_block_correctly(self, kernel_name):
+        blocks = make_blocks(16, 64)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        rng = random.Random(2)
+        for index, block in enumerate(blocks):
+            assert oblivious_read_many(kernel, rng, [index]) == [block]
+
+    def test_repeated_retrievals_consistent(self, kernel_name):
+        blocks = make_blocks(6, 16)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        rng = random.Random(4)
+        for _ in range(5):
+            assert oblivious_read_many(kernel, rng, [3]) == [blocks[3]]
+
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_out_of_range_index_rejected_before_the_draw(self, kernel_name, index):
+        kernel = make_kernel(make_blocks(4, 8), kernel=kernel_name)
+        rng = random.Random(9)
+        state = rng.getstate()
+        seen = []
+        with pytest.raises(PirError):
+            oblivious_read_many(kernel, rng, [0, index], log=seen.append)
+        assert rng.getstate() == state
+        assert seen == []
+
+    def test_batched_read_equals_per_index_reads(self, kernel_name):
+        blocks = make_blocks(11, 24, seed=3)
+        kernel = make_kernel(blocks, kernel=kernel_name)
+        indices = [10, 0, 5, 5, 7]
+        batched = oblivious_read_many(kernel, random.Random(1), indices)
+        rng = random.Random(1)
+        single = [oblivious_read_many(kernel, rng, [index])[0] for index in indices]
+        assert batched == single == [blocks[index] for index in indices]
 
 
 @requires_numpy

@@ -32,6 +32,19 @@ class TestShardMap:
         assert sum(sizes) == 11
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("strategy", ["round-robin", "range"])
+    def test_each_shard_holds_local_pages_zero_to_size(self, strategy):
+        """Grouping the blocks by :meth:`ShardMap.locate` gives every shard
+        the dense local range ``0 .. size - 1`` its page store serves."""
+        shard_map = ShardMap(13, 3, strategy)
+        locals_by_shard = [[] for _ in range(3)]
+        for index in range(13):
+            shard, local = shard_map.locate(index)
+            locals_by_shard[shard].append(local)
+        assert [sorted(found) for found in locals_by_shard] == [
+            list(range(size)) for size in shard_map.shard_sizes()
+        ]
+
     def test_range_shards_are_contiguous(self):
         shard_map = ShardMap(10, 3, "range")
         shards = [shard_map.shard_of(index) for index in range(10)]
@@ -79,6 +92,48 @@ class TestShardedPirSimulator:
         assert base_trace.adversary_view() == sharded_trace.adversary_view()
         assert base_trace.private_page_requests() == sharded_trace.private_page_requests()
         assert base.simulated_pir_time_s == sharded.simulated_pir_time_s
+
+    @pytest.mark.parametrize("strategy", ["round-robin", "range"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_xor_reads_match_stored_pages(self, ci_database, strategy, num_shards):
+        database, spec = ci_database
+        sharded = ShardedPirSimulator(
+            database,
+            spec=spec,
+            enforce_limits=False,
+            num_shards=num_shards,
+            strategy=strategy,
+            xor_kernel="bigint",
+        )
+        page_file = database.file("data")
+        pages = [(7 * index) % page_file.num_pages for index in range(40)]
+        assert sharded.retrieve_pages("data", pages) == [
+            page_file.read_page(page) for page in pages
+        ]
+        assert len(sharded.shard_load()) == num_shards
+        assert sum(sharded.shard_load()) == len(pages)
+
+    def test_each_shard_sees_only_its_own_sub_batch(self, ci_database):
+        database, spec = ci_database
+        sharded = ShardedPirSimulator(
+            database,
+            spec=spec,
+            enforce_limits=False,
+            num_shards=3,
+            xor_kernel="bigint",
+            log_queries=True,
+        )
+        num_pages = database.file("data").num_pages
+        sharded.retrieve_pages("data", list(range(num_pages)))
+        sizes = [counts["data"] for counts in sharded.shard_page_counts()]
+        for shard_id, size in enumerate(sizes):
+            subsets = [
+                subset
+                for file_name, shard, subset in sharded.queries_seen
+                if file_name == "data" and shard == shard_id
+            ]
+            assert len(subsets) == 2 * size  # share A and share B per page
+            assert all(index < size for subset in subsets for index in subset)
 
     def test_every_page_owned_by_exactly_one_shard(self, ci_database):
         database, spec = ci_database
