@@ -621,117 +621,6 @@ def run_tiled_fallback_microbench(
     }
 
 
-def run_shared_pack_microbench(num_nodes=1000, num_shards=4, batch=32, seed=31):
-    """Shared-memory shard packs: worker attach vs. per-worker rebuild.
-
-    Builds the CI database, shards it four ways, and publishes every shard
-    pack to the machine-wide shared-pack registry — exactly what the engine
-    does before its first process batch.  The timed comparison is the cold
-    first batch of a process worker, per shard of the largest file: attach
-    to the published segment and answer a serving-sized mask batch, versus
-    what every worker paid before this PR — repack the shard from its pages
-    and answer the same batch.  Attaching maps O(1) shared memory where the
-    rebuild re-reads and re-packs O(N) pages, so the floor (≥ 2x) is
-    algorithmic, not a parallelism artifact.
-
-    ``single_build`` is the deterministic registry claim: publishing built
-    each pack exactly once machine-wide, and no attach ever built another
-    (the registry's pack-build counter does not move).  Answers from the
-    attached pack are asserted bit-identical to the rebuilt pack and the
-    big-int oracle.  Without numpy there are no shared packs; the result
-    records ``kernel == "bigint"`` and the perf gate skips both floors.
-    """
-    from repro.pir.kernels import PackedDatabase
-    from repro.pir.sharded import ShardedPageStore
-
-    network = random_planar_network(num_nodes, seed=seed)
-    scheme = ConciseIndexScheme.build(network, spec=SystemSpec(page_size=256))
-    if not numpy_available():
-        return {
-            "shards": num_shards,
-            "kernel": "bigint",
-            "fast_s": 0.0,
-            "reference_s": 0.0,
-            "speedup": 1.0,
-            "single_build": 1.0,
-        }
-
-    from repro.pir import shared_pack_registry
-
-    registry = shared_pack_registry()
-    store = ShardedPageStore(scheme.database, num_shards=num_shards)
-    file_name = max(store.maps, key=lambda name: store.maps[name].num_blocks)
-    file_map = store.maps[file_name]
-
-    builds_before = registry.pack_builds
-    handles = store.publish_shard_packs(kernel="numpy")
-    publish_builds = registry.pack_builds - builds_before
-    pack_per_publish = publish_builds == len(handles) > 0
-
-    # one serving-sized mask batch per shard of the largest file, plus the
-    # raw pages each rebuild would re-pack
-    shard_ids = list(range(file_map.num_shards))
-    shard_blocks, shard_masks = {}, {}
-    page_file = scheme.database.file(file_name)
-    for shard_id in shard_ids:
-        page_numbers = [
-            file_map.global_index(shard_id, local)
-            for local in range(file_map.shard_sizes()[shard_id])
-        ]
-        shard_blocks[shard_id] = page_file.read_pages_batch(page_numbers)
-        shard_masks[shard_id] = random_subset_masks(
-            random.Random(seed + shard_id), len(page_numbers), batch
-        )
-    shard_handles = {
-        key[4]: handle for key, handle in handles.items() if key[1] == file_name
-    }
-    assert sorted(shard_handles) == shard_ids, "missing shard handles"
-
-    def attach_cold_batches():
-        answers = []
-        for shard_id in shard_ids:
-            pack = PackedDatabase.attach(shard_handles[shard_id])
-            answers.append(pack.answer_many(shard_masks[shard_id]))
-            pack.close_shared(unlink=False)
-        return answers
-
-    builds_pre_attach = registry.pack_builds
-    attach_s, attached_answers = _time(attach_cold_batches)
-    attach_built = registry.pack_builds != builds_pre_attach
-    single_build = 1.0 if pack_per_publish and not attach_built else 0.0
-
-    def rebuild_cold_batches():
-        return [
-            PackedDatabase.from_blocks(shard_blocks[shard_id]).answer_many(
-                shard_masks[shard_id]
-            )
-            for shard_id in shard_ids
-        ]
-
-    rebuild_s, rebuilt_answers = _time(rebuild_cold_batches)
-    registry.unpublish(handles)
-
-    assert attached_answers == rebuilt_answers, \
-        "attached pack disagrees with the rebuilt pack"
-    for shard_id, answers in zip(shard_ids, attached_answers):
-        oracle = make_kernel(shard_blocks[shard_id], kernel="bigint")
-        assert answers == oracle.answer_many(shard_masks[shard_id]), \
-            "shared pack disagrees with the big-int oracle"
-
-    return {
-        "shards": num_shards,
-        "kernel": "numpy",
-        "file": file_name,
-        "file_pages": file_map.num_blocks,
-        "batch": batch,
-        "published_packs": len(handles),
-        "fast_s": attach_s,
-        "reference_s": rebuild_s,
-        "speedup": rebuild_s / attach_s,
-        "single_build": single_build,
-    }
-
-
 def run_store_backend_microbench(num_pages=1024, page_bytes=1024, reads=2048, seed=17):
     """Page-store backends: append and read throughput, batch vs. per-page loop.
 
@@ -918,7 +807,6 @@ def _run_all():
     results["xor_kernel"] = run_xor_kernel_microbench()
     results["xor_kernel_pi"] = run_xor_kernel_pi_microbench()
     results["tiled_fallback"] = run_tiled_fallback_microbench()
-    results["shared_pack"] = run_shared_pack_microbench()
     results["warm_pool"] = run_warm_pool_microbench()
     results["pi_build"] = run_pi_build_microbench()
     results["cold_client"] = run_cold_client_microbench()

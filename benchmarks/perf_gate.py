@@ -77,13 +77,6 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         MetricFloor(
             "tiled_fallback.speedup", 3.0, when=("tiled_fallback.kernel", "numpy")
         ),
-        # shared shard packs: a worker's cold batch over attached segments
-        # beats the per-worker rebuild >=2x at 4 shards, and publishing
-        # built each pack exactly once machine-wide (attaches build none)
-        MetricFloor("shared_pack.speedup", 2.0, when=("shared_pack.kernel", "numpy")),
-        MetricFloor(
-            "shared_pack.single_build", 1.0, when=("shared_pack.kernel", "numpy")
-        ),
         # the persistent solve pool: the second consecutive process batch
         # must reuse the first batch's executor (1.0 == exactly one pool
         # start across both batches; timing deliberately not floored)

@@ -8,11 +8,6 @@ under parallelism.  The sanctioned containers are ``ContextVar`` (per-context
 state), ``WeakKeyDictionary``/caches guarded by a module ``Lock`` (shared
 memo, explicit synchronisation — the ``shared_kernel`` pattern in
 ``repro.pir.kernels``), or immutable constants (``tuple``/``frozenset``).
-The shared-pack registry singleton (``SharedPackRegistry``) is sanctioned
-explicitly: it is process-wide *by design* — one pack per machine — with
-every mutation behind its internal lock and fork safety handled by
-recording the owning pid per published pack (INVARIANTS.md, concurrency
-hygiene).
 """
 
 from __future__ import annotations
@@ -31,12 +26,10 @@ CONCURRENCY_SCOPE: Tuple[str, ...] = (
 )
 
 #: Constructors whose module-level instances are concurrency-sanctioned.
-#: ``SharedPackRegistry`` is the deliberately process-wide shared-pack
-#: singleton (internally locked, pid-guarded unlink) — see INVARIANTS.md.
 _SANCTIONED_CALLS = {
     "ContextVar", "Lock", "RLock", "Semaphore", "BoundedSemaphore",
     "Condition", "Event", "local", "WeakKeyDictionary", "WeakValueDictionary",
-    "MappingProxyType", "frozenset", "tuple", "SharedPackRegistry",
+    "MappingProxyType", "frozenset", "tuple",
 }
 
 #: Mutable-container constructors that are not.

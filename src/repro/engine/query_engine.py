@@ -63,7 +63,6 @@ from ..pir import (
     UsablePirSimulator,
     numpy_available,
     resolve_kernel,
-    shared_pack_registry,
 )
 from ..schemes import files as scheme_files
 from ..schemes.base import PreparedQuery, QueryResult, Scheme, client_state_scope
@@ -259,8 +258,6 @@ class QueryEngine:
         #: across batches, created lazily unless the caller supplied one.
         self._solve_pool = solve_pool
         self._owns_solve_pool = solve_pool is None
-        #: Shared-pack registry keys this engine published (unlinked on close).
-        self._pack_keys: List[Tuple[object, ...]] = []
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -273,13 +270,8 @@ class QueryEngine:
 
         A pool supplied by the caller is left running (they own it);
         contexts' remote PIR connections are always closed — the shard
-        servers themselves keep serving.  Shared packs this engine published
-        for its process workers are withdrawn and their shared-memory
-        segments unlinked.
+        servers themselves keep serving.
         """
-        if self._pack_keys:
-            keys, self._pack_keys = self._pack_keys, []
-            shared_pack_registry().unpublish(keys)
         if self._owns_solve_pool and self._solve_pool is not None:
             self._solve_pool.close()
             self._solve_pool = None
@@ -498,7 +490,8 @@ class QueryEngine:
         """Execute the batch with the solve phases on a process pool.
 
         Retrieval (the PIR rounds) stays in the calling process — the worker
-        contexts' PIR state and decode caches are shared-memory objects — and
+        contexts' PIR state, decode caches and packed server kernels are
+        in-process objects, so no worker process ever reads a pack — and
         runs in batch order; every prepared query that carries a picklable
         :class:`~repro.schemes.base.RemoteSolve` is shipped to the pool as
         soon as its rounds complete, so later retrievals overlap outstanding
@@ -518,11 +511,7 @@ class QueryEngine:
         #: are the same deterministic computation — submit it once
         in_flight: Dict[Tuple, object] = {}
         # the engine's persistent pool: workers stay warm across batches
-        # instead of paying ProcessPoolExecutor spin-up per run_batch call;
-        # before it first grows, publish the shard packs so workers spawned
-        # on non-fork platforms attach the machine-wide shared pack instead
-        # of repacking their shards
-        self._publish_packs()
+        # instead of paying ProcessPoolExecutor spin-up per run_batch call
         pool = self.solve_pool.executor(workers)
         for position, item in enumerate(indexed):
             # mirror the thread path's round-robin shard assignment
@@ -552,28 +541,6 @@ class QueryEngine:
             path, solve_seconds = future.result()
             results_by_index[index] = prepared.finish(path, solve_seconds)
         return results_by_index
-
-    def _publish_packs(self) -> None:
-        """Publish the engine's shard packs for process workers (idempotent).
-
-        Only meaningful for a sharded store serving through the packed numpy
-        kernel: the packs move onto shared memory (the engine keeps
-        answering off the same bytes) and the picklable handles are staged
-        on the solve pool, whose worker initializer adopts them.  Results
-        are unaffected either way — shared and private packs are
-        bit-identical — so this is purely a memory/startup optimisation.
-        """
-        if (
-            self._pack_keys
-            or self._shard_store is None
-            or self.pir_kernel != "numpy"
-            or self.serving_addresses is not None
-        ):
-            return
-        handles = self._shard_store.publish_shard_packs(kernel=self.pir_kernel)
-        if handles:
-            self._pack_keys = list(handles)
-            self.solve_pool.set_pack_handles(handles)
 
     def _prepare(self, context: _WorkerContext, item: _IndexedPair) -> PreparedQuery:
         index, (source, target) = item

@@ -7,8 +7,6 @@ from .kernels import (
     KERNEL_NAMES,
     BigIntKernel,
     PackedDatabase,
-    SharedPackHandle,
-    SharedPackRegistry,
     answer_shares,
     draw_shares,
     kernel_from_pages,
@@ -16,8 +14,6 @@ from .kernels import (
     numpy_available,
     resolve_kernel,
     shared_kernel,
-    shared_kernel_key,
-    shared_pack_registry,
     xor_bytes,
 )
 from .oram import (
@@ -45,8 +41,6 @@ __all__ = [
     "OramServer",
     "PirShard",
     "SecureCoprocessor",
-    "SharedPackHandle",
-    "SharedPackRegistry",
     "ShardMap",
     "ShardedPageStore",
     "ShardedPirSimulator",
@@ -62,8 +56,6 @@ __all__ = [
     "random_subset_masks",
     "resolve_kernel",
     "shared_kernel",
-    "shared_kernel_key",
-    "shared_pack_registry",
     "stream_encrypt",
     "validate_subset_mask",
     "xor_bytes",

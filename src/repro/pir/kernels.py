@@ -33,29 +33,17 @@ store exposes zero-copy views, so packing an out-of-core shard never
 materialises intermediate ``bytes`` pages.  :func:`shared_kernel` memoises
 packs per backing store (keyed weakly, so a closed store releases its pack),
 which is how one packed image is shared by both replicas of a two-server
-protocol and by every worker context of the query engine.
-
-Packs also cross process boundaries without copies:
-:meth:`PackedDatabase.to_shared` re-homes the bit-matrix and group tables
-onto ``multiprocessing.shared_memory`` segments described by a picklable
-:class:`SharedPackHandle`, and :meth:`PackedDatabase.attach` maps them back
-read-only in another process.  The process-wide :class:`SharedPackRegistry`
-(:func:`shared_pack_registry`) owns publish/attach/unlink lifecycles so one
-machine holds exactly one resident pack per shard no matter how many worker
-processes or shard servers serve it.  Shared packs are read-only by
-contract: every consumer answers off the same immutable bytes (invariant
-I2 — see ``INVARIANTS.md``).
+protocol, by every worker context of the query engine and by every shard
+server thread.  Packs never leave the process that built them: process
+workers only decode and search, so nothing outside it would read one.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import random
 import threading
 import weakref
-import zlib
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -64,14 +52,11 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
-
-from multiprocessing import shared_memory as _shared_memory
 
 from ..exceptions import PirError
 from .batch import mask_indices, random_subset_masks, validate_subset_mask
@@ -191,76 +176,6 @@ class BigIntKernel:
         return [self.answer_mask(mask) for mask in masks]
 
 
-@dataclass(frozen=True)
-class SharedPackHandle:
-    """A picklable description of a pack living in shared memory.
-
-    Carries everything :meth:`PackedDatabase.attach` needs to map the pack
-    back read-only in another process: the ``multiprocessing.shared_memory``
-    segment names, the array geometry, and a CRC32 of the bit-matrix bytes
-    so attaching to a stale or foreign segment fails loudly instead of
-    serving wrong answers.
-    """
-
-    rows_name: str
-    tables_name: Optional[str]
-    num_blocks: int
-    words: int
-    block_size: int
-    group_bits: Optional[int]
-    max_table_bytes: int
-    rows_crc: int
-
-
-def _untrack_shared_memory(segment: Any) -> None:
-    """Detach a segment from the resource tracker (attacher side only).
-
-    On CPython < 3.13 merely *attaching* to a named segment registers it
-    with the process's resource tracker, which unlinks the segment when the
-    attaching process exits — destroying it under the owner.  Only the
-    owning process may unlink; attachers must deregister.  Callers skip the
-    call when this process (or the forking parent whose tracker it shares)
-    owns the segment: that one registration is the crash backstop that
-    reclaims ``/dev/shm`` if the owner dies without running ``atexit``.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary by platform
-        pass
-
-
-def _attach_segment(name: str, nbytes: int) -> Any:
-    """Map a segment of at least ``nbytes``, or raise ``PirError`` naming it."""
-    try:
-        segment = _shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        raise PirError(
-            f"shared pack segment {name!r} does not exist "
-            "(owner gone or already unlinked)"
-        ) from None
-    if not _PACK_REGISTRY.owns_segment(name):
-        _untrack_shared_memory(segment)
-    if segment.size < nbytes:
-        segment.close()
-        raise PirError(
-            f"shared pack segment {name!r} does not match its handle "
-            f"(size mismatch: {segment.size} bytes mapped, {nbytes} expected)"
-        )
-    return segment
-
-
-def _share(array: Any) -> Tuple[Any, Any]:
-    """Copy ``array`` into a new segment this process owns: ``(segment, view)``."""
-    segment = _shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    shared = _np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    shared[:] = array
-    shared.setflags(write=False)
-    _PACK_REGISTRY.note_owned(segment.name)
-    return segment, shared
-
-
 class PackedDatabase:
     """The packed numpy kernel: group-table GF(2) mask-matrix answering.
 
@@ -287,25 +202,15 @@ class PackedDatabase:
             raise PirError("the numpy PIR kernel requires numpy")
         if rows.ndim != 2 or rows.dtype != _np.uint64 or rows.shape[0] < 1:
             raise PirError("packed databases are non-empty 2-D uint64 arrays")
-        budget = self._resolve_table_budget(max_table_bytes)
-        self._set_rows(_np.ascontiguousarray(rows), block_size, budget)
-        self._build_tables()
-        _PACK_REGISTRY.note_build()
-
-    def _set_rows(self, rows: Any, block_size: int, max_table_bytes: int) -> None:
-        """Install the read-only bit-matrix and the fields of a private pack."""
+        rows = _np.ascontiguousarray(rows)
         rows.setflags(write=False)
         self._rows = rows
         self.num_blocks = int(rows.shape[0])
         self.words = int(rows.shape[1])
         self.block_size = int(block_size)
         self._mask_bytes = (self.num_blocks + 7) // 8
-        self._max_table_bytes = max_table_bytes
-        self._shm_rows: Any = None
-        self._shm_tables: Any = None
-        self._owns_segments = False
-        #: The handle this pack lives behind (``None`` for private packs).
-        self.shared_handle: Optional["SharedPackHandle"] = None
+        self._max_table_bytes = self._resolve_table_budget(max_table_bytes)
+        self._build_tables()
 
     @classmethod
     def _resolve_table_budget(cls, max_table_bytes: Optional[int]) -> int:
@@ -585,132 +490,6 @@ class PackedDatabase:
     def answer_many(self, masks: Sequence[int]) -> List[bytes]:
         return self.rows_to_blocks(self.answer_rows(masks))
 
-    # ------------------------------------------------------------------ #
-    # shared memory
-    # ------------------------------------------------------------------ #
-    def to_shared(self) -> SharedPackHandle:
-        """Re-home the pack onto ``multiprocessing.shared_memory`` segments.
-
-        Idempotent: a pack that is already shared (owned *or* attached)
-        returns its existing handle.  The bit-matrix and group tables are
-        copied once into freshly created segments and this object's arrays
-        become read-only views over them, so the calling process keeps
-        answering off the same bytes every attacher maps.  The caller owns
-        the segments: :meth:`close_shared` (or the registry that published
-        the pack) must eventually unlink them.
-        """
-        if self.shared_handle is not None:
-            return self.shared_handle
-        self._shm_rows, self._rows = _share(self._rows)
-        tables_name: Optional[str] = None
-        if self._tables is not None:
-            self._shm_tables, tables = _share(self._tables)
-            self._set_tables(tables, self._group_bits)
-            tables_name = self._shm_tables.name
-        self._owns_segments = True
-        self.shared_handle = SharedPackHandle(
-            rows_name=self._shm_rows.name,
-            tables_name=tables_name,
-            num_blocks=self.num_blocks,
-            words=self.words,
-            block_size=self.block_size,
-            group_bits=self._group_bits,
-            max_table_bytes=self._max_table_bytes,
-            rows_crc=zlib.crc32(memoryview(self._shm_rows.buf)[: self._rows.nbytes]),
-        )
-        return self.shared_handle
-
-    @classmethod
-    def attach(cls, handle: SharedPackHandle) -> "PackedDatabase":
-        """Map a shared pack read-only in this process — no rebuild, no copy.
-
-        Validates the segment geometry and the bit-matrix CRC before serving
-        off it, so a stale handle (owner already unlinked and the name was
-        recycled) raises :class:`PirError` instead of answering garbage.
-        Attached packs never own their segments: the resource tracker is
-        told to forget them (attacher exit must not destroy the owner's
-        segments) and :meth:`close_shared` only unmaps.
-        """
-        if _np is None:
-            raise PirError("attaching a shared pack requires numpy")
-        np = _np
-        nbytes = handle.num_blocks * handle.words * 8
-        shm_rows = _attach_segment(handle.rows_name, nbytes)
-        shm_tables: Any = None
-        tables: Any = None
-        try:
-            if zlib.crc32(memoryview(shm_rows.buf)[:nbytes]) != handle.rows_crc:
-                raise PirError(
-                    f"shared pack segment {handle.rows_name!r} does not match "
-                    "its handle (checksum mismatch)"
-                )
-            if handle.tables_name is not None and handle.group_bits is not None:
-                bits = handle.group_bits
-                shape = (-(-handle.num_blocks // bits), 1 << bits, handle.words)
-                shm_tables = _attach_segment(
-                    handle.tables_name, shape[0] * shape[1] * shape[2] * 8
-                )
-                tables = np.ndarray(shape, dtype=np.uint64, buffer=shm_tables.buf)
-        except PirError:
-            shm_rows.close()  # no array view of it exists yet
-            raise
-        pack = cls.__new__(cls)
-        rows = np.ndarray(
-            (handle.num_blocks, handle.words), dtype=np.uint64, buffer=shm_rows.buf
-        )
-        pack._set_rows(rows, handle.block_size, handle.max_table_bytes)
-        pack._shm_rows, pack._shm_tables = shm_rows, shm_tables
-        pack.shared_handle = handle
-        pack._set_tables(tables, handle.group_bits)
-        return pack
-
-    def close_shared(self, unlink: Optional[bool] = None) -> None:
-        """Release the pack's shared-memory segments.
-
-        ``unlink`` defaults to this pack's ownership: owners destroy the
-        segments (``/dev/shm`` entries disappear), attachers only unmap.
-        The pack object itself stays usable: its arrays are copied back
-        into private memory first, because the :func:`shared_kernel` memo
-        may still hand this object to later simulators (an engine's
-        ``close()`` unpublishes packs the backing store keeps memoised —
-        answering off the dead mapping would be use-after-free).  An
-        unlinking owner copies everything back; a mere attacher keeps only
-        the bit-matrix and drops its table mapping (the tables are ~30x
-        the rows, and a worker's throwaway attached pack must stay a
-        cheap O(rows) unmap — answers stay bit-identical through the
-        table-free fallback paths if the object is ever used again).
-        Unmapping is best-effort — live numpy views keep the mapping alive
-        until they are collected (``BufferError`` is swallowed) — but an
-        owner's unlink always happens, which is the part that leaks.
-        """
-        if unlink is None:
-            unlink = self._owns_segments
-        self.shared_handle = None
-        self._owns_segments = False
-        if self._shm_rows is not None or self._shm_tables is not None:
-            rows = _np.array(self._rows)
-            rows.setflags(write=False)
-            self._rows = rows
-            if self._tables is not None and unlink:
-                self._set_tables(_np.array(self._tables), self._group_bits)
-            else:
-                self._set_tables(None, None)
-        for attribute in ("_shm_rows", "_shm_tables"):
-            segment = getattr(self, attribute)
-            if segment is None:
-                continue
-            setattr(self, attribute, None)
-            if unlink:
-                _PACK_REGISTRY.forget_owned(segment.name)
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-            try:
-                segment.close()
-            except BufferError:
-                pass  # arrays still reference the mapping; it dies with them
-
 
 #: Either kernel implementation (they share the answering surface).
 ServerKernel = Union[BigIntKernel, PackedDatabase]
@@ -785,23 +564,6 @@ _SHARED_KERNELS: "weakref.WeakKeyDictionary[object, Dict[Tuple[object, ...], Ser
 _SHARED_KERNELS_LOCK = threading.Lock()
 
 
-def shared_kernel_key(
-    page_file: "PageFile",
-    page_numbers: Optional[Sequence[int]] = None,
-    kernel: Optional[str] = None,
-    cache_key: Tuple[object, ...] = (),
-) -> Tuple[object, ...]:
-    """The memo key :func:`shared_kernel` files a pack under.
-
-    Publishers (:meth:`SharedPackRegistry.publish`) use the same key so a
-    worker's :func:`shared_kernel` call resolves to the adopted shared pack
-    instead of rebuilding.
-    """
-    resolved = resolve_kernel(kernel)
-    count = page_file.num_pages if page_numbers is None else len(page_numbers)
-    return (resolved, page_file.name, count) + tuple(cache_key)
-
-
 def shared_kernel(
     page_file: "PageFile",
     page_numbers: Optional[Sequence[int]] = None,
@@ -811,203 +573,24 @@ def shared_kernel(
     """The memoised packed kernel for a page file (or page subset).
 
     One packed image per ``(backing store, kernel, file, page count, cache
-    key)`` is shared by every consumer — the two replicas of a protocol and
-    all worker contexts of an engine.  The page count participates in the
-    key, so a file that grew since the last pack is repacked; serving
-    databases are sealed, which is what makes the memo safe.
-
-    When this process has *adopted* a shared pack under the same key (a
-    process worker whose initializer received the owner's handles), the
-    attached zero-copy pack is served instead of rebuilding — that is the
-    one-pack-per-machine path.  Only explicitly adopted entries are
-    consulted: owner processes keep building privately, so unrelated
-    databases that happen to share a file name and page count can never
-    collide through the registry.
+    key)`` is shared by every consumer in this process — the two replicas
+    of a protocol, all worker contexts of an engine and every shard server
+    thread.  The page count participates in the key, so a file that grew
+    since the last pack is repacked; serving databases are sealed, which is
+    what makes the memo safe.
     """
     resolved = resolve_kernel(kernel)
-    key = shared_kernel_key(page_file, page_numbers, kernel=resolved, cache_key=cache_key)
+    count = page_file.num_pages if page_numbers is None else len(page_numbers)
+    key = (resolved, page_file.name, count) + tuple(cache_key)
     store = page_file.store
     with _SHARED_KERNELS_LOCK:
         per_store = _SHARED_KERNELS.setdefault(store, {})
         cached = per_store.get(key)
     if cached is not None:
         return cached
-    if resolved == "numpy":
-        adopted = _PACK_REGISTRY.adopted(key)
-        if adopted is not None:
-            with _SHARED_KERNELS_LOCK:
-                return per_store.setdefault(key, adopted)
     built = kernel_from_pages(page_file, page_numbers, kernel=resolved)
     with _SHARED_KERNELS_LOCK:
         return per_store.setdefault(key, built)
-
-
-# ---------------------------------------------------------------------- #
-# the process-wide shared-pack registry
-# ---------------------------------------------------------------------- #
-class SharedPackRegistry:
-    """Publish/attach/unlink lifecycle for shared packs, one per process.
-
-    Owners (a :class:`~repro.engine.query_engine.QueryEngine` warming a
-    process pool, a ``ShardCluster`` booting servers) ``publish`` packs
-    under their :func:`shared_kernel_key`; the picklable handles travel to
-    worker initializers, which ``adopt`` them so the workers'
-    :func:`shared_kernel` calls attach instead of rebuilding.  Attaches are
-    memoised per segment, publishes record the owning pid — a forked child
-    inherits this module's state, and the pid guard keeps the child's exit
-    sweep from unlinking segments its parent still serves from.  All
-    methods are thread-safe; :meth:`close` runs from ``atexit`` as the
-    leak backstop.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._published: Dict[Tuple[object, ...], Tuple[PackedDatabase, int]] = {}
-        self._adopted: Dict[Tuple[object, ...], SharedPackHandle] = {}
-        self._attached: Dict[str, PackedDatabase] = {}
-        self._owned_names: Dict[str, bool] = {}
-        self._builds = 0
-
-    # -- segment ownership (resource-tracker coordination) --------------- #
-    def note_owned(self, name: str) -> None:
-        """Record that this process created segment ``name``."""
-        with self._lock:
-            self._owned_names[name] = True
-
-    def forget_owned(self, name: str) -> None:
-        """Drop the ownership record (the segment was unlinked)."""
-        with self._lock:
-            self._owned_names.pop(name, None)
-
-    def owns_segment(self, name: str) -> bool:
-        """Whether this process (or its forking parent) created ``name``.
-
-        Attaches to owned segments keep the resource-tracker registration
-        alive — it is the unlink-on-crash backstop for the owner.
-        """
-        with self._lock:
-            return name in self._owned_names
-
-    # -- instrumentation ------------------------------------------------ #
-    def note_build(self) -> None:
-        """Count one pack construction (called by ``PackedDatabase.__init__``)."""
-        with self._lock:
-            self._builds += 1
-
-    @property
-    def pack_builds(self) -> int:
-        """Packs *built* in this process (attaches deliberately not counted)."""
-        with self._lock:
-            return self._builds
-
-    # -- owner side ------------------------------------------------------ #
-    def publish(
-        self, key: Tuple[object, ...], pack: PackedDatabase
-    ) -> SharedPackHandle:
-        """Share ``pack`` under ``key`` and return its picklable handle.
-
-        The registry takes over unlink responsibility for the segments: they
-        are destroyed on :meth:`unpublish`/:meth:`close` (or the atexit
-        sweep), in the publishing process only.
-        """
-        handle = pack.to_shared()
-        with self._lock:
-            self._published[tuple(key)] = (pack, os.getpid())
-        return handle
-
-    def handles(self) -> Dict[Tuple[object, ...], SharedPackHandle]:
-        """Every published pack's handle, keyed as published (picklable)."""
-        result: Dict[Tuple[object, ...], SharedPackHandle] = {}
-        with self._lock:
-            for key, (pack, _) in self._published.items():
-                handle = pack.shared_handle
-                if handle is not None:
-                    result[key] = handle
-        return result
-
-    def unpublish(self, keys: Iterable[Tuple[object, ...]]) -> None:
-        """Withdraw and unlink the named packs (owner-pid guarded)."""
-        dropped: List[Tuple[PackedDatabase, int]] = []
-        with self._lock:
-            for key in keys:
-                entry = self._published.pop(tuple(key), None)
-                if entry is not None:
-                    dropped.append(entry)
-        pid = os.getpid()
-        for pack, owner_pid in dropped:
-            pack.close_shared(unlink=owner_pid == pid)
-
-    # -- worker side ----------------------------------------------------- #
-    def adopt(self, handles: Mapping[Tuple[object, ...], SharedPackHandle]) -> None:
-        """Attach published packs so :func:`shared_kernel` serves them.
-
-        Worker initializers call this with the owner's :meth:`handles`; each
-        distinct segment is mapped exactly once per process no matter how
-        many keys (or later ``adopt`` calls) reference it.
-        """
-        for key, handle in handles.items():
-            self.attach(handle)
-            with self._lock:
-                self._adopted[tuple(key)] = handle
-
-    def adopted(self, key: Tuple[object, ...]) -> Optional[PackedDatabase]:
-        """The attached pack adopted under ``key``, if any."""
-        with self._lock:
-            handle = self._adopted.get(tuple(key))
-        if handle is None:
-            return None
-        return self.attach(handle)
-
-    def attach(self, handle: SharedPackHandle) -> PackedDatabase:
-        """Attach to a shared pack, memoised per segment name.
-
-        When this process *published* the pack, the published object itself
-        is returned — the owner never maps its own segments twice.
-        """
-        with self._lock:
-            pack = self._attached.get(handle.rows_name)
-            if pack is None:
-                for published, _ in self._published.values():
-                    published_handle = published.shared_handle
-                    if (
-                        published_handle is not None
-                        and published_handle.rows_name == handle.rows_name
-                    ):
-                        pack = published
-                        break
-        if pack is not None:
-            return pack
-        attached = PackedDatabase.attach(handle)
-        with self._lock:
-            return self._attached.setdefault(handle.rows_name, attached)
-
-    # -- teardown --------------------------------------------------------- #
-    def close(self) -> None:
-        """Unlink everything this process published, unmap everything attached.
-
-        Idempotent; registered with ``atexit`` so no ``/dev/shm`` segment
-        outlives a cleanly exiting owner even when ``close()`` was skipped.
-        """
-        with self._lock:
-            published = list(self._published.values())
-            self._published.clear()
-            attached = list(self._attached.values())
-            self._attached.clear()
-            self._adopted.clear()
-        pid = os.getpid()
-        for pack, owner_pid in published:
-            pack.close_shared(unlink=owner_pid == pid)
-        for pack in attached:
-            pack.close_shared(unlink=False)
-
-
-_PACK_REGISTRY = SharedPackRegistry()
-atexit.register(_PACK_REGISTRY.close)
-
-
-def shared_pack_registry() -> SharedPackRegistry:
-    """This process's shared-pack registry (one per interpreter)."""
-    return _PACK_REGISTRY
 
 
 # ---------------------------------------------------------------------- #

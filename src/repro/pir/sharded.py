@@ -47,15 +47,10 @@ from ..costmodel import DEFAULT_SPEC, SystemSpec
 from ..exceptions import PirError
 from ..storage import Database
 from .kernels import (
-    PackedDatabase,
     ServerKernel,
-    SharedPackHandle,
     answer_shares,
     draw_shares,
-    resolve_kernel,
     shared_kernel,
-    shared_kernel_key,
-    shared_pack_registry,
 )
 from .scp import SecureCoprocessor, UsablePirSimulator
 
@@ -282,49 +277,6 @@ class ShardedPageStore:
             kernel=kernel,
             cache_key=("shard", shard_id, file_map.num_shards, self.strategy),
         )
-
-    def publish_shard_packs(
-        self, kernel: Optional[str] = None
-    ) -> Dict[Tuple[object, ...], SharedPackHandle]:
-        """Build every shard pack and publish it to the shared-pack registry.
-
-        Returns the picklable handles keyed exactly as a worker's
-        :meth:`shard_kernel` → :func:`~repro.pir.kernels.shared_kernel`
-        lookup files them, so a process worker that adopts this mapping
-        (:meth:`~repro.pir.kernels.SharedPackRegistry.adopt`) attaches the
-        one machine-wide pack instead of repacking its shards.  Empty when
-        the resolved kernel is not the packed one (the big-int oracle has no
-        shareable image).  The publisher owns the segments: whoever calls
-        this must eventually ``unpublish`` the returned keys (the engine and
-        cluster do so from their ``close()``).
-        """
-        if resolve_kernel(kernel) != "numpy":
-            return {}
-        registry = shared_pack_registry()
-        handles: Dict[Tuple[object, ...], SharedPackHandle] = {}
-        for file_name, file_map in sorted(self.maps.items()):
-            page_file = self._files[file_name]
-            for shard_id in range(file_map.num_shards):
-                pack = self.shard_kernel(shard_id, file_name, kernel="numpy")
-                if not isinstance(pack, PackedDatabase):  # pragma: no cover
-                    continue
-                page_numbers = [
-                    file_map.global_index(shard_id, local)
-                    for local in range(file_map.shard_sizes()[shard_id])
-                ]
-                key = shared_kernel_key(
-                    page_file,
-                    page_numbers,
-                    kernel="numpy",
-                    cache_key=(
-                        "shard",
-                        shard_id,
-                        file_map.num_shards,
-                        self.strategy,
-                    ),
-                )
-                handles[key] = registry.publish(key, pack)
-        return handles
 
     @property
     def resident_page_bytes(self) -> int:

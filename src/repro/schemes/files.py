@@ -133,8 +133,11 @@ class HeaderInfo:
 
     def lookup_page_for(self, region_i: int, region_j: int) -> Tuple[int, int]:
         """The look-up file page holding the entry for ``(i, j)`` and the entry's slot."""
+        per_page = self.lookup_entries_per_page
+        if per_page <= 0:
+            raise StorageError(f"header packs {per_page} look-up entries per page")
         index = region_i * self.num_regions + region_j
-        return index // self.lookup_entries_per_page, index % self.lookup_entries_per_page
+        return index // per_page, index % per_page
 
     def data_pages_for_regions(self, region_ids: Iterable[int]) -> List[int]:
         """Page numbers (in the data file) holding the regions' network

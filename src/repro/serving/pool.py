@@ -3,13 +3,12 @@
 Before this module existed, every ``run_batch(worker_mode="process")``
 built a fresh ``ProcessPoolExecutor`` and tore it down with the batch, so
 each batch paid full worker spin-up — process spawn plus, on spawn-style
-platforms, a cold import of the whole package in every worker — and, where
-the engine serves through packed XOR kernels, a fork-inherited copy of the
-parent's kernel packs was thrown away per batch.  A :class:`SolvePool`
-outlives batches: the executor is created once, workers pre-import the
-solve-phase modules exactly once (``initializer``), and on fork platforms
-the children inherit the parent's packed shard kernels copy-on-write —
-once per pool, not once per batch.
+platforms, a cold import of the whole package in every worker.  A
+:class:`SolvePool` outlives batches: the executor is created once and
+workers pre-import the solve-phase modules exactly once (``initializer``).
+Workers only decode, assemble and search the bytes a task ships them; they
+never answer a PIR retrieval, so they need no packed kernel — the packs
+stay in the engine's process, shared there by the in-process memo.
 
 The pool only ever *grows*: asking for more workers than the current
 executor holds replaces it with a larger one (counted in :attr:`starts`,
@@ -28,36 +27,15 @@ from __future__ import annotations
 import threading
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..exceptions import SchemeError
-from ..pir.kernels import SharedPackHandle
 
 
-def _warm_worker(
-    pack_handles: Optional[Mapping[Tuple[object, ...], SharedPackHandle]] = None,
-) -> None:
-    """Pre-import the solve-phase modules so a worker's first task is warm.
-
-    ``pack_handles`` (published shared-pack handles, keyed by
-    :func:`~repro.pir.kernels.shared_kernel_key`) are adopted into the
-    worker's registry, so any ``shared_kernel`` lookup in this worker
-    attaches the machine-wide pack instead of rebuilding it.  Adoption is
-    best-effort: a handle whose owner already unlinked simply stays
-    unadopted and the worker builds privately, which is always correct
-    (shared and private packs are bit-identical by construction).
-    """
+def _warm_worker() -> None:
+    """Pre-import the solve-phase modules so a worker's first task is warm."""
     import repro.network  # noqa: F401
     import repro.schemes  # noqa: F401
-
-    if pack_handles:
-        from ..pir.kernels import shared_pack_registry
-
-        for key, handle in pack_handles.items():
-            try:
-                shared_pack_registry().adopt({key: handle})
-            except Exception:
-                pass  # stale handle: fall back to a private rebuild
 
 
 def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
@@ -81,20 +59,6 @@ class SolvePool:
         self._lock = threading.Lock()
         self._finalizer: Optional[weakref.finalize] = None
         self._closed = False
-        self._pack_handles: Dict[Tuple[object, ...], SharedPackHandle] = {}
-
-    def set_pack_handles(
-        self, handles: Mapping[Tuple[object, ...], SharedPackHandle]
-    ) -> None:
-        """Shared-pack handles future workers adopt at initialisation.
-
-        Handles merge (an engine can publish more shards later); they reach
-        workers through the executor ``initializer``, so only executors
-        started *after* this call see new handles — the engine publishes
-        before its first process batch grows the pool.
-        """
-        with self._lock:
-            self._pack_handles.update(handles)
 
     @property
     def size(self) -> int:
@@ -125,7 +89,6 @@ class SolvePool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=size,
                     initializer=_warm_worker,
-                    initargs=(dict(self._pack_handles),),
                 )
                 self._size = size
                 self.starts += 1

@@ -42,7 +42,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PirError
-from ..pir import resolve_kernel, shared_pack_registry
+from ..pir import resolve_kernel
 from ..pir.batch import mask_indices
 from ..pir.sharded import ShardedPageStore
 from ..storage import Database
@@ -398,19 +398,10 @@ class ShardCluster:
         host: str = "127.0.0.1",
         log_queries: bool = False,
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
-        share_packs: bool = False,
     ) -> None:
         self.store = ShardedPageStore(database, num_shards, strategy)
         self.num_shards = num_shards
         self.strategy = strategy
-        self._kernel = kernel
-        #: Whether :meth:`start` publishes every shard pack to the
-        #: shared-pack registry (``stop`` withdraws and unlinks them).  With
-        #: it on, one machine-wide shared image backs the cluster — other
-        #: processes (shard servers, process workers) attach instead of
-        #: repacking, and the in-process servers answer off the same bytes.
-        self.share_packs = share_packs
-        self._pack_keys: List[Tuple[object, ...]] = []
         self.servers = [
             ShardServer(
                 self.store,
@@ -426,9 +417,6 @@ class ShardCluster:
 
     def start(self) -> "ShardCluster":
         if not self._started:
-            if self.share_packs and not self._pack_keys:
-                handles = self.store.publish_shard_packs(kernel=self._kernel)
-                self._pack_keys = list(handles)
             for server in self.servers:
                 server.start()
             self._started = True
@@ -437,9 +425,6 @@ class ShardCluster:
     def stop(self) -> None:
         for server in self.servers:
             server.stop()
-        if self._pack_keys:
-            keys, self._pack_keys = self._pack_keys, []
-            shared_pack_registry().unpublish(keys)
         self._started = False
 
     @property

@@ -14,12 +14,3 @@ def remember(key, value):
     with _SHARED_LOCK:
         _SHARED[key] = value
 
-
-class SharedPackRegistry:
-    """Stand-in for the sanctioned process-wide registry singleton."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-
-
-_REGISTRY = SharedPackRegistry()

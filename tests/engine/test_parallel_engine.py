@@ -1,10 +1,13 @@
 """Tests for the sharded/pipelined side of the query engine."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.workloads import generate_workload
 from repro.engine import QueryEngine
 from repro.exceptions import SchemeError
+from repro.pir import numpy_available
 
 
 class TestWorkerSharding:
@@ -158,6 +161,18 @@ class TestProcessWorkers:
         assert warm.cache_misses == 0
         assert warm.cache_hits > 0
         assert warm.indistinguishable
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+    def test_process_batch_adds_nothing_to_dev_shm(self, ci_scheme, query_pairs):
+        # workers only solve: every retrieval, and so every packed kernel,
+        # stays in the engine's process and nothing is copied out for them
+        shm = Path("/dev/shm")
+        before = {entry.name for entry in shm.iterdir()}
+        with QueryEngine(ci_scheme, shards=2, pir_kernel="numpy") as engine:
+            batch = engine.run_batch(query_pairs, workers=2, worker_mode="process")
+            assert batch.all_costs_correct and batch.indistinguishable
+            assert {entry.name for entry in shm.iterdir()} - before == set()
 
     def test_finish_requires_remote_split(self, landmark_scheme, query_pairs):
         prepared = landmark_scheme.prepare_query(*query_pairs[0])

@@ -1,12 +1,11 @@
-"""Property: shared-memory packs change nothing observable (invariant I2).
+"""Property: kernel, shard count and worker mode change nothing observable (I2).
 
-The shared pack is a placement optimisation — the same packed bit-matrix
-mapped once per machine instead of rebuilt per worker.  These properties pin
-everything observable to the private pack and the big-int oracle: answers
-(including the error paths, which must raise the identical ``PirError``),
-the adversary-visible ``queries_seen`` streams, and end-to-end engine
-batches across every kernel × shard count × worker mode × answer-thread
-combination the serving stack exposes.
+The packed kernel is pinned to the big-int oracle — answers and the error
+paths, which must raise the identical ``PirError`` — and the serving and
+engine stacks are pinned to plain in-process serving: the adversary-visible
+``queries_seen`` streams and end-to-end engine batches across every kernel
+× shard count × worker mode combination they expose.  Process workers only
+solve; every retrieval, and so every pack, stays in the engine's process.
 """
 
 import random
@@ -26,9 +25,7 @@ SPEC = SystemSpec(page_size=256)
 
 requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
-#: Server kernels the equivalences run for; shared packs exist only for
-#: numpy (the big-int oracle has no shareable image), but the bigint legs
-#: still pin that asking for shared serving degrades to nothing observable.
+#: Server kernels the equivalences run for.
 KERNELS = ("numpy", "bigint") if numpy_available() else ("bigint",)
 
 
@@ -66,56 +63,42 @@ def blocks_strategy():
 
 
 @requires_numpy
-class TestSharedPackOracleParity:
+class TestPackedOracleParity:
     @settings(max_examples=40, deadline=None)
     @given(blocks=blocks_strategy(), data=st.data())
-    def test_shared_equals_private_equals_oracle(self, blocks, data):
+    def test_packed_equals_oracle(self, blocks, data):
         from repro.pir.kernels import PackedDatabase
 
-        private = PackedDatabase.from_blocks(blocks)
-        handle = private.to_shared()
-        attached = PackedDatabase.attach(handle)
-        try:
-            num_blocks = len(blocks)
-            masks = data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=(1 << num_blocks) - 1),
-                    min_size=0,
-                    max_size=10,
-                )
+        num_blocks = len(blocks)
+        masks = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=(1 << num_blocks) - 1),
+                min_size=0,
+                max_size=10,
             )
-            expected = BigIntKernel(blocks).answer_many(masks)
-            assert private.answer_many(masks) == expected
-            assert attached.answer_many(masks) == expected
-        finally:
-            attached.close_shared(unlink=False)
-            private.close_shared()
+        )
+        expected = BigIntKernel(blocks).answer_many(masks)
+        assert PackedDatabase.from_blocks(blocks).answer_many(masks) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(blocks=blocks_strategy())
     def test_error_paths_identical_to_oracle(self, blocks):
-        """Invalid masks must raise the identical PirError whether the pack
-        is private, shared, or the big-int oracle — error text included."""
+        """Invalid masks must raise the identical PirError from the packed
+        kernel and the big-int oracle — error text included."""
         from repro.pir.kernels import PackedDatabase
 
-        private = PackedDatabase.from_blocks(blocks)
-        attached = PackedDatabase.attach(private.to_shared())
-        oracle = BigIntKernel(blocks)
-        try:
-            for bad in (-1, 1 << len(blocks), (1 << len(blocks)) | 1):
-                errors = []
-                for kernel in (oracle, private, attached):
-                    with pytest.raises(PirError) as caught:
-                        kernel.answer_mask(bad)
-                    errors.append(str(caught.value))
-                assert len(set(errors)) == 1
-        finally:
-            attached.close_shared(unlink=False)
-            private.close_shared()
+        kernels = (BigIntKernel(blocks), PackedDatabase.from_blocks(blocks))
+        for bad in (-1, 1 << len(blocks), (1 << len(blocks)) | 1):
+            errors = []
+            for kernel in kernels:
+                with pytest.raises(PirError) as caught:
+                    kernel.answer_mask(bad)
+                errors.append(str(caught.value))
+            assert len(set(errors)) == 1
 
 
 class TestServingEquivalence:
-    """Shared packs versus plain in-process serving."""
+    """Shard servers over TCP versus plain in-process serving."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("num_shards", [1, 3])
@@ -133,9 +116,7 @@ class TestServingEquivalence:
         )
         expected_pages = local.retrieve_pages(file_name, reads)
 
-        with ShardCluster(
-            database, num_shards=num_shards, kernel=kernel, share_packs=True
-        ) as cluster:
+        with ShardCluster(database, num_shards=num_shards, kernel=kernel) as cluster:
             remote = RemotePirSimulator(
                 database, cluster.addresses, log_queries=True, kernel_seed=21
             )
@@ -157,7 +138,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("shards,workers,worker_mode", [
         (2, 2, "thread"),
-        (2, 2, "process"),  # process workers adopt the published packs
+        (2, 2, "process"),
         (3, 2, "process"),
     ])
     def test_local_batches_bit_identical(
@@ -178,9 +159,7 @@ class TestEngineEquivalence:
     def test_remote_batches_bit_identical(
         self, ci_scheme, pairs, baseline, kernel, worker_mode
     ):
-        with ShardCluster(
-            ci_scheme.database, num_shards=2, kernel=kernel, share_packs=True
-        ) as cluster:
+        with ShardCluster(ci_scheme.database, num_shards=2, kernel=kernel) as cluster:
             with QueryEngine(ci_scheme, cache_entries=64, serving=cluster) as engine:
                 batch = engine.run_batch(
                     pairs, verify_costs=True, workers=2, worker_mode=worker_mode

@@ -156,6 +156,11 @@ class TestHostileHeader:
         with pytest.raises(StorageError):
             make_header(tree_splits=[]).region_of_point(0.0, 0.0)
 
+    def test_zero_lookup_entries_per_page(self):
+        header = HeaderInfo.decode(make_header(lookup_entries_per_page=0).encode())
+        with pytest.raises(StorageError, match="0 look-up entries"):
+            header.lookup_page_for(1, 2)  # it divides by the count
+
 
 class TestLookupFile:
     def test_entries_round_trip(self):
