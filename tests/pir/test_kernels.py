@@ -267,6 +267,14 @@ class TestPackedDatabase:
         with pytest.raises(ValueError):
             packed._rows[0, 0] = 1
 
+    def test_packed_tables_are_immutable(self):
+        # the combination tables are shared by every consumer of a memoised
+        # pack, so a stray write must fail like one to the rows does
+        packed = PackedDatabase.from_blocks(make_blocks(16, 8), max_table_bytes=1 << 20)
+        assert packed._tables is not None
+        with pytest.raises(ValueError):
+            packed._tables[0, 0, 0] = 1
+
     def test_wrong_block_size_rejected(self):
         with pytest.raises(PirError):
             PackedDatabase.from_fetcher(2, 8, lambda numbers: [b"x" * 8, b"y" * 7])

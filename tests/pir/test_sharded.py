@@ -186,6 +186,28 @@ class TestShardedPirSimulator:
         with pytest.raises(PirError):
             sharded.retrieve_pages("data", [0, num_pages])
 
+    @pytest.mark.parametrize("strategy", ["round-robin", "range"])
+    def test_store_views_share_one_kernel_per_shard(self, ci_database, strategy):
+        # every view over the same database and layout (one per engine,
+        # worker context or shard server) answers off the same packed image,
+        # whose block l is the shard's local page l
+        from repro.pir import ShardedPageStore
+
+        database, _ = ci_database
+        one = ShardedPageStore(database, num_shards=2, strategy=strategy)
+        two = ShardedPageStore(database, num_shards=2, strategy=strategy)
+        for file_name, file_map in one.maps.items():
+            page_file = database.file(file_name)
+            for shard_id in range(file_map.num_shards):
+                kernel = one.shard_kernel(shard_id, file_name, "bigint")
+                assert two.shard_kernel(shard_id, file_name, "bigint") is kernel
+                size = file_map.shard_sizes()[shard_id]
+                assert kernel.num_blocks == size
+                for local in range(size):
+                    assert kernel.answer_indices([local]) == page_file.read_page(
+                        file_map.global_index(shard_id, local)
+                    )
+
     def test_sharded_store_holds_no_page_copies(self, ci_database):
         # regression: ShardedPageStore used to materialize every shard's
         # pages into per-shard lists, duplicating the whole database in RAM;

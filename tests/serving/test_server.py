@@ -11,10 +11,12 @@ import random
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import PirError
+from repro.pir import numpy_available
 from repro.pir.batch import mask_indices
 from repro.pir.sharded import PirShard, ShardedPageStore
 from repro.serving import (
@@ -455,6 +457,25 @@ class TestLifecycle:
                 )
                 conn.close()
                 assert info.shard_id == shard_id
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+    def test_cluster_serving_leaves_dev_shm_unchanged(self):
+        # shard servers are threads answering off in-process packs: neither
+        # booting, answering nor stopping a cluster creates a shared segment
+        shm = Path("/dev/shm")
+        before = {entry.name for entry in shm.iterdir()}
+        database = make_database(num_pages=12)
+        with ShardCluster(database, num_shards=2, kernel="numpy") as cluster:
+            conn = ShardConnection(cluster.addresses[0])
+            answers = wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", [0b1011]))
+            )
+            conn.close()
+            kernel = cluster.store.shard_kernel(0, "data", "numpy")
+            assert answers == kernel.answer_many([0b1011])
+            assert {entry.name for entry in shm.iterdir()} - before == set()
+        assert {entry.name for entry in shm.iterdir()} - before == set()
 
     def test_cluster_start_is_idempotent(self):
         database = make_database()
