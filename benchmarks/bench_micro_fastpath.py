@@ -267,12 +267,12 @@ def run_scheme_query_microbench(num_nodes=1000, num_queries=80, seed=13):
             # a fresh engine per run: every repeat starts with a cold cache;
             # XOR serving pinned off — this measures the client pipeline
             engine = QueryEngine(scheme, pir_kernel="off")
-            return engine.run_batch(pairs, verify_costs=False, pipeline=False)
+            return engine.run_batch(pairs, verify_costs=False)
 
         def run_reference():
             with _pr1_client_path():
                 engine = QueryEngine(scheme, pir_kernel="off")
-                return engine.run_batch(pairs, verify_costs=False, pipeline=False)
+                return engine.run_batch(pairs, verify_costs=False)
 
         fast_s, fast_batch = _time(run_fast)
         reference_s, reference_batch = _time(run_reference)
@@ -316,7 +316,7 @@ def run_sharded_pir_microbench(num_nodes=1000, num_queries=80, num_shards=4, see
         network, count=num_queries, seed=seed, hot_pairs=10, hot_fraction=0.75
     )
     batch = QueryEngine(scheme, pir_kernel="off").run_batch(
-        pairs, verify_costs=False, pipeline=False
+        pairs, verify_costs=False
     )
     database = scheme.database
     stream = [
@@ -366,48 +366,6 @@ def run_sharded_pir_microbench(num_nodes=1000, num_queries=80, num_shards=4, see
         "speedup": unsharded_s / sharded_s,
         "retrievals_per_s_sharded": len(stream) / sharded_s,
         "retrievals_per_s_unsharded": len(stream) / unsharded_s,
-    }
-
-
-def run_warm_pool_microbench(num_nodes=600, num_queries=24, workers=4, seed=23):
-    """Consecutive ``worker_mode="process"`` batches on one engine.
-
-    The first batch pays the persistent pool's one-time spin-up (process
-    spawn plus the warm-import initializer); every later batch reuses the
-    same executor.  The floored metric is ``reuse`` — 1.0 exactly when the
-    second batch started no new executor (``SolvePool.starts`` stayed at
-    one) — because executor reuse is deterministic where spin-up *timing*
-    is noisy; the cold/warm delta is recorded for the record only.
-    """
-    network = random_planar_network(num_nodes, seed=seed)
-    scheme = ConciseIndexScheme.build(network, spec=SystemSpec(page_size=1024))
-    pairs = generate_hotspot_workload(
-        network, count=num_queries, seed=seed, hot_pairs=8, hot_fraction=0.75
-    )
-    # XOR serving pinned off: this measures executor reuse, not PIR serving
-    with QueryEngine(scheme, pir_kernel="off") as engine:
-        def run_batch():
-            return engine.run_batch(
-                pairs, verify_costs=False, workers=workers, worker_mode="process"
-            )
-
-        # repeats=1: only the very first batch is cold
-        cold_s, cold_batch = _time(run_batch, repeats=1)
-        warm_s, warm_batch = _time(run_batch, repeats=3)
-        starts = engine.solve_pool.starts
-
-    for cold, warm in zip(cold_batch.results, warm_batch.results):
-        assert cold.path.nodes == warm.path.nodes, \
-            "warm-pool batch disagrees with the cold batch"
-    return {
-        "nodes": num_nodes,
-        "queries": num_queries,
-        "workers": workers,
-        "fast_s": warm_s,
-        "reference_s": cold_s,
-        "speedup": cold_s / warm_s,
-        "pool_starts": starts,
-        "reuse": 1.0 if starts == 1 else 0.0,
     }
 
 
@@ -807,7 +765,6 @@ def _run_all():
     results["xor_kernel"] = run_xor_kernel_microbench()
     results["xor_kernel_pi"] = run_xor_kernel_pi_microbench()
     results["tiled_fallback"] = run_tiled_fallback_microbench()
-    results["warm_pool"] = run_warm_pool_microbench()
     results["pi_build"] = run_pi_build_microbench()
     results["cold_client"] = run_cold_client_microbench()
     results.update(run_store_backend_microbench())

@@ -77,10 +77,6 @@ METRIC_FLOORS: Dict[str, List[MetricFloor]] = {
         MetricFloor(
             "tiled_fallback.speedup", 3.0, when=("tiled_fallback.kernel", "numpy")
         ),
-        # the persistent solve pool: the second consecutive process batch
-        # must reuse the first batch's executor (1.0 == exactly one pool
-        # start across both batches; timing deliberately not floored)
-        MetricFloor("warm_pool.reuse", 1.0),
         # the PI database build over the CI build on one 300-node network:
         # arithmetic fragment sizing and one walk per border tree read ~1.35;
         # re-encoding every growing fragment per element read ~7.3

@@ -1,18 +1,16 @@
-"""Sharded PIR databases and process workers under the batch engine.
+"""Sharded PIR databases and worker threads under the batch engine.
 
-The engine scales along three independent axes, none of which changes query
+The engine scales along two independent axes, neither of which changes query
 results, traces or what the adversary observes:
 
 * ``QueryEngine(shards=S)`` splits the PIR page store across ``S``
   independent sub-databases; every worker context owns its own shard
   connections (``repro-spc batch --shards S``);
-* ``run_batch(workers=N)`` shards the batch across ``N`` worker contexts
-  (``--workers N``);
-* ``run_batch(worker_mode="process")`` ships the CPU-bound decode/assembly/
-  search phase to a process pool (``--worker-mode process``).
+* ``run_batch(workers=N)`` shards the batch across ``N`` worker contexts,
+  each on its own thread (``--workers N``).
 
-This demo runs the same workload serial, sharded+threaded and
-sharded+process, shows the results are identical, and then serves the
+This demo runs the same workload serially and over 4 shards x 2 threads,
+shows the results are identical, and then serves the
 batch's PIR request stream through the unsharded and the 4-shard XOR-serving
 simulators to show where the throughput comes from: each retrieval only costs
 XOR work in the owning shard's slice of the file, not the whole file.
@@ -37,22 +35,17 @@ def main() -> None:
     scheme = ConciseIndexScheme.build(network, spec=SystemSpec(page_size=256))
     pairs = generate_hotspot_workload(network, count=24, seed=7)
 
-    print("== one batch, three execution plans ==")
-    serial = QueryEngine(scheme).run_batch(pairs, verify_costs=False, pipeline=False)
+    print("== one batch, two execution plans ==")
+    serial = QueryEngine(scheme).run_batch(pairs, verify_costs=False)
     sharded = QueryEngine(scheme, shards=4).run_batch(pairs, verify_costs=False, workers=2)
-    process = QueryEngine(scheme, shards=4).run_batch(
-        pairs, verify_costs=False, workers=2, worker_mode="process"
-    )
-    for label, batch in (("serial", serial), ("4 shards x 2 threads", sharded),
-                         ("4 shards x 2 processes", process)):
-        print(f"  {label:<24}: {batch.num_queries} queries, "
+    for label, batch in (("serial", serial), ("4 shards x 2 threads", sharded)):
+        print(f"  {label:<20}: {batch.num_queries} queries, "
               f"indistinguishable={batch.indistinguishable}")
     identical = all(
-        a.path.nodes == b.path.nodes == c.path.nodes
-        and a.adversary_view == b.adversary_view == c.adversary_view
-        for a, b, c in zip(serial.results, sharded.results, process.results)
+        a.path.nodes == b.path.nodes and a.adversary_view == b.adversary_view
+        for a, b in zip(serial.results, sharded.results)
     )
-    print(f"  results bit-identical across all plans: {identical}")
+    print(f"  results bit-identical across both plans: {identical}")
 
     print("\n== why sharding pays: the PIR serving bill ==")
     database = scheme.database

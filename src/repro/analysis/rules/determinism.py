@@ -1,7 +1,7 @@
 """Determinism rules (invariant I2, ``INVARIANTS.md``).
 
 For a fixed workload and seed, results must be bit-identical across every
-(shards, workers, worker-mode, kernel, backend) combination — the property
+(shards, workers, kernel, backend) combination — the property
 ``tests/properties/`` pins dynamically.  These rules ban the classic ways a
 code path silently stops being a pure function of its inputs: wall-clock
 reads, the process-global ``random`` functions, OS entropy, iterating a
@@ -28,7 +28,6 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     "src/repro/schemes/",
     "src/repro/pir/",
     "src/repro/network/indexed.py",
-    "src/repro/serving/pool.py",
 )
 
 #: Wall-clock and entropy calls that make a result path nondeterministic.

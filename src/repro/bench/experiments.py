@@ -190,7 +190,6 @@ def fig5_lm_tuning(
     num_queries: int = DEFAULT_NUM_QUERIES,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 5: LM response time and space vs. the number of landmarks."""
@@ -199,9 +198,7 @@ def fig5_lm_tuning(
     rows = []
     for count in landmark_counts:
         scheme = _build_lm(cache, dataset, count, workload)
-        summary = run_workload(
-            scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-        )
+        summary = run_workload(scheme, workload, workers=workers, shards=shards)
         rows.append(
             {
                 "landmarks": count,
@@ -222,7 +219,6 @@ def table3_components(
     profile: str = "quick",
     num_landmarks: int = 5,
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Table 3: response-time decomposition and page accesses for AF, LM, CI, PI."""
@@ -236,9 +232,7 @@ def table3_components(
     ]
     rows = []
     for scheme in schemes:
-        summary = run_workload(
-            scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-        )
+        summary = run_workload(scheme, workload, workers=workers, shards=shards)
         paper = PAPER_TABLE3.get(scheme.name, {})
         data_accesses = summary.mean_page_accesses.get("data", 0.0) + (
             summary.mean_page_accesses.get("combined", 0.0)
@@ -274,7 +268,6 @@ def fig6_obfuscation(
     num_queries: int = 20,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> Dict[str, object]:
     """Figure 6: OBF response time vs. obfuscation set size, with CI/PI reference lines."""
@@ -284,14 +277,12 @@ def fig6_obfuscation(
         _build_ci(cache, dataset),
         workload,
         workers=workers,
-        worker_mode=worker_mode,
         shards=shards,
     )
     pi_summary = run_workload(
         _build_pi(cache, dataset),
         workload,
         workers=workers,
-        worker_mode=worker_mode,
         shards=shards,
     )
     rows = []
@@ -314,7 +305,6 @@ def fig7_datasets(
     profile: str = "quick",
     num_landmarks: int = 5,
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 7: AF/LM/CI/PI response time and space on the smaller networks."""
@@ -329,9 +319,7 @@ def fig7_datasets(
             _build_pi(cache, dataset),
         ]
         for scheme in schemes:
-            summary = run_workload(
-                scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-            )
+            summary = run_workload(scheme, workload, workers=workers, shards=shards)
             rows.append(
                 {
                     "dataset": dataset_spec(dataset).label,
@@ -351,7 +339,6 @@ def fig8_packing(
     num_queries: int = DEFAULT_NUM_QUERIES,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 8: CI/PI with packed vs. plain KD-tree partitioning."""
@@ -366,9 +353,7 @@ def fig8_packing(
             ("PI-P", _build_pi(cache, dataset, packed=False)),
         ]
         for label, scheme in variants:
-            summary = run_workload(
-                scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-            )
+            summary = run_workload(scheme, workload, workers=workers, shards=shards)
             rows.append(
                 {
                     "dataset": dataset_spec(dataset).label,
@@ -389,7 +374,6 @@ def fig9_compression(
     num_queries: int = DEFAULT_NUM_QUERIES,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 9: CI/PI with and without in-page index compression."""
@@ -404,9 +388,7 @@ def fig9_compression(
             ("PI-C", _build_pi(cache, dataset, compress=False)),
         ]
         for label, scheme in variants:
-            summary = run_workload(
-                scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-            )
+            summary = run_workload(scheme, workload, workers=workers, shards=shards)
             rows.append(
                 {
                     "dataset": dataset_spec(dataset).label,
@@ -428,7 +410,6 @@ def fig10_hybrid(
     num_queries: int = DEFAULT_NUM_QUERIES,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> Dict[str, object]:
     """Figure 10: distribution of |S_ij| and HY's space/time trade-off vs. threshold."""
@@ -452,15 +433,12 @@ def fig10_hybrid(
         _build_ci(cache, dataset),
         workload,
         workers=workers,
-        worker_mode=worker_mode,
         shards=shards,
     )
     rows = []
     for threshold in thresholds:
         scheme = _build_hybrid(cache, dataset, threshold)
-        summary = run_workload(
-            scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-        )
+        summary = run_workload(scheme, workload, workers=workers, shards=shards)
         rows.append(
             {
                 "threshold": threshold,
@@ -487,7 +465,6 @@ def fig11_clustered(
     num_queries: int = DEFAULT_NUM_QUERIES,
     profile: str = "quick",
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> Dict[str, object]:
     """Figure 11: PI* response time and space vs. the number of cluster pages."""
@@ -497,15 +474,12 @@ def fig11_clustered(
         _build_ci(cache, dataset),
         workload,
         workers=workers,
-        worker_mode=worker_mode,
         shards=shards,
     )
     rows = []
     for cluster_pages in cluster_sizes:
         scheme = _build_clustered(cache, dataset, cluster_pages)
-        summary = run_workload(
-            scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-        )
+        summary = run_workload(scheme, workload, workers=workers, shards=shards)
         rows.append(
             {
                 "cluster_pages": cluster_pages,
@@ -530,7 +504,6 @@ def fig12_larger(
     profile: str = "quick",
     cluster_pages: int = 2,
     workers: int = 1,
-    worker_mode: str = "thread",
     shards: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 12: CI, HY and PI* on the larger networks."""
@@ -547,9 +520,7 @@ def fig12_larger(
             _build_clustered(cache, dataset, cluster_pages),
         ]
         for scheme in schemes:
-            summary = run_workload(
-                scheme, workload, workers=workers, worker_mode=worker_mode, shards=shards
-            )
+            summary = run_workload(scheme, workload, workers=workers, shards=shards)
             rows.append(
                 {
                     "dataset": dataset_spec(dataset).label,

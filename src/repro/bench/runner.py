@@ -43,8 +43,6 @@ class WorkloadSummary:
     cache_misses: int = 0
     #: Worker contexts the batch was sharded across.
     workers: int = 1
-    #: How the worker contexts executed ("thread" or "process").
-    worker_mode: str = "thread"
     #: PIR database shards each worker context connected to.
     shards: int = 1
 
@@ -74,8 +72,6 @@ def run_workload(
     engine: Optional[QueryEngine] = None,
     workers: int = 1,
     cache_entries: int = 512,
-    pipeline: bool = True,
-    worker_mode: str = "thread",
     shards: int = 1,
     store_backend: Optional[str] = None,
     store_dir=None,
@@ -88,11 +84,9 @@ def run_workload(
     across several workloads of the same scheme): queries execute under the
     scheme's fixed plan with client-side decode caching, and the true-cost
     verification is batched by source over the compiled network.  ``workers``
-    shards the batch across that many engine worker contexts,
-    ``worker_mode`` selects thread or process workers, ``pipeline`` overlaps
-    PIR retrieval with the client-side solve, and ``shards`` splits the PIR
-    page store into that many independent sub-databases; all of them leave
-    the results bit-identical to serial execution.  ``cache_entries`` sizes
+    shards the batch across that many engine worker threads and ``shards``
+    splits the PIR page store into that many independent sub-databases;
+    both leave the results bit-identical to serial execution.  ``cache_entries`` sizes
     each worker's decode cache (``0`` disables caching; ignored when
     ``engine`` is supplied, as are ``shards`` and ``store_backend``).
     ``store_backend``/``store_dir`` re-home the scheme's database onto the
@@ -121,8 +115,6 @@ def run_workload(
         verify_costs=verify_costs,
         cost_tolerance=cost_tolerance,
         workers=workers,
-        pipeline=pipeline,
-        worker_mode=worker_mode,
     )
 
     responses: List[ResponseTime] = []
@@ -158,7 +150,6 @@ def run_workload(
         cache_hits=batch.cache_hits,
         cache_misses=batch.cache_misses,
         workers=batch.workers,
-        worker_mode=batch.worker_mode,
         shards=batch.shards,
     )
 

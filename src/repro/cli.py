@@ -149,14 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "to serial execution)",
     )
     batch.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="run worker contexts as threads (pipelined retrieval/solve "
-        "overlap) or processes (CPU-bound decode escapes the GIL); results "
-        "are identical either way",
-    )
-    batch.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -173,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "numpy is importable and falls back to direct page reads "
         "otherwise, auto always picks the best available kernel, off "
         "forces direct reads — results are identical either way",
-    )
-    batch.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help="disable overlapping PIR retrieval with client-side decode/search",
     )
     batch.add_argument(
         "--no-verify", action="store_true", help="skip true-cost verification"
@@ -400,14 +387,10 @@ def _command_batch(args: argparse.Namespace) -> int:
         pairs,
         verify_costs=not args.no_verify,
         workers=args.workers,
-        pipeline=not args.no_pipeline,
-        worker_mode=args.worker_mode,
     )
     print(f"scheme          : {scheme.name}")
     print(f"queries         : {batch.num_queries}")
-    print(f"workers         : {batch.workers}"
-          f"{' (pipelined)' if batch.worker_mode == 'thread' and not args.no_pipeline else ''}")
-    print(f"worker mode     : {batch.worker_mode}")
+    print(f"workers         : {batch.workers}")
     if batch.shards > 1:
         print(f"pir shards      : {batch.shards}")
     if batch.store_backend != "memory":

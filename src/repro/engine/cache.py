@@ -14,9 +14,9 @@ class LruCache:
     oldest entry.  Values must tolerate being shared between users — the
     engine only caches objects that are treated as read-only after decode.
 
-    Operations are guarded by a lock: within one engine worker the pipelined
-    retrieval of the next query runs concurrently with the solve of the
-    current one, and both touch the worker's cache.
+    Operations are guarded by a lock, so one cache may safely serve
+    several threads (e.g. concurrent :meth:`QueryEngine.execute` calls,
+    which all share the engine's page cache).
     """
 
     __slots__ = ("capacity", "hits", "misses", "_entries", "_lock")
@@ -81,9 +81,7 @@ class NullCache:
     Measurement runs need an engine without client-side decode caching
     (``cache_entries=0``): every ``get`` misses, every ``put`` is dropped, and
     the miss count keeps the batch statistics meaningful.  The counter is
-    lock-guarded for the same reason :class:`LruCache` is — within one
-    worker the pipelined retrieval thread and the solve thread probe the
-    cache concurrently.
+    lock-guarded for the same reason :class:`LruCache` is.
     """
 
     __slots__ = ("hits", "misses", "_lock")

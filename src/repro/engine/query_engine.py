@@ -11,13 +11,10 @@ still runs the full multi-round PIR protocol and is checked against the plan
   decode cache, so shards execute concurrently without sharing mutable
   protocol state, and their statistics are merged into one
   :class:`BatchResult`;
-* worker contexts can run as **threads or processes**
-  (``worker_mode="thread" | "process"``): thread workers overlap the PIR
-  rounds of the next query with the solve of the current one (pipelining),
-  while process workers ship the CPU-bound solve phase — record decode, CSR
-  assembly and the search — to a ``ProcessPoolExecutor`` via the schemes'
-  picklable :class:`~repro.schemes.base.RemoteSolve` split, escaping the GIL
-  entirely;
+* each worker context runs on its own thread (a single worker on the
+  calling thread) and executes its shard in sequence: every query runs its
+  PIR rounds (``prepare_query``) and then its client-side solve, before
+  the next query starts;
 * the engine's PIR page store can be **sharded** (``QueryEngine(...,
   shards=S)``): every worker context owns its own per-shard connections to
   ``S`` independent sub-databases (see
@@ -33,12 +30,12 @@ still runs the full multi-round PIR protocol and is checked against the plan
 * indistinguishability is asserted over the whole batch (every query must
   produce the identical adversary view, Theorem 1).
 
-Results are **independent of the worker count, worker mode and shard
-count**: dummy-page retrievals draw from a per-query RNG derived from the
-scheme's dummy seed and the query's position in the batch, and the solve
-phase is a deterministic function of the fetched bytes, so every
-``(workers, worker_mode, shards)`` combination produces traces identical to
-``run_batch(pairs, workers=1)`` (property-tested).
+Results are **independent of the worker count and shard count**:
+dummy-page retrievals draw from a per-query RNG derived from the scheme's
+dummy seed and the query's position in the batch, and the solve phase is a
+deterministic function of the fetched bytes, so every ``(workers, shards)``
+combination produces traces identical to ``run_batch(pairs, workers=1)``
+(property-tested).
 
 ``repro-spc batch`` on the command line and
 :func:`repro.bench.runner.run_workload` (i.e. every figure/table benchmark)
@@ -66,7 +63,6 @@ from ..pir import (
 )
 from ..schemes import files as scheme_files
 from ..schemes.base import PreparedQuery, QueryResult, Scheme, client_state_scope
-from ..serving.pool import SolvePool
 from ..storage import clone_database
 from .cache import LruCache, NullCache
 
@@ -74,9 +70,6 @@ QueryPair = Tuple[NodeId, NodeId]
 
 #: One (index, pair) work item of a batch.
 _IndexedPair = Tuple[int, QueryPair]
-
-#: Supported worker execution modes.
-WORKER_MODES = ("thread", "process")
 
 
 @dataclass
@@ -101,8 +94,6 @@ class BatchResult:
     wall_seconds: float
     #: Number of worker contexts the batch was sharded across.
     workers: int = 1
-    #: How the worker contexts executed ("thread" or "process").
-    worker_mode: str = "thread"
     #: Number of PIR database shards each worker context connects to.
     shards: int = 1
     #: Page-store backend the engine served the batch from.
@@ -167,13 +158,11 @@ class QueryEngine:
     fold is only worth paying for when it is the thing being measured.
     ``serving`` (a :class:`~repro.serving.server.ShardCluster` or a list of
     ``(host, port)`` addresses, one per shard) routes every PIR read to live
-    shard servers over TCP instead of in-process serving; ``solve_pool``
-    supplies a shared persistent :class:`~repro.serving.pool.SolvePool` for
-    process-mode batches (the engine otherwise creates and owns one lazily —
-    use the engine as a context manager, or call :meth:`close`, to reclaim
-    its workers deterministically).  None of these knobs changes query
-    results, traces or adversary views (property-tested for every kernel,
-    locally and over the wire).
+    shard servers over TCP instead of in-process serving (use the engine as
+    a context manager, or call :meth:`close`, to release those connections
+    deterministically).  None of these knobs changes query results, traces
+    or adversary views (property-tested for every kernel, locally and over
+    the wire).
     """
 
     def __init__(
@@ -186,7 +175,6 @@ class QueryEngine:
         store_dir=None,
         pir_kernel: Optional[str] = None,
         serving=None,
-        solve_pool: Optional[SolvePool] = None,
     ) -> None:
         if cache_entries < 0:
             raise SchemeError(
@@ -254,10 +242,6 @@ class QueryEngine:
         self._contexts: List[_WorkerContext] = [
             _WorkerContext(first_pir, self.page_cache)
         ]
-        #: Persistent process pool for the remote solve phases: reused
-        #: across batches, created lazily unless the caller supplied one.
-        self._solve_pool = solve_pool
-        self._owns_solve_pool = solve_pool is None
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -266,28 +250,15 @@ class QueryEngine:
         self.close()
 
     def close(self) -> None:
-        """Release owned resources: the solve pool and remote connections.
+        """Close every context's remote PIR connections.
 
-        A pool supplied by the caller is left running (they own it);
-        contexts' remote PIR connections are always closed — the shard
-        servers themselves keep serving.
+        The shard servers themselves keep serving.
         """
-        if self._owns_solve_pool and self._solve_pool is not None:
-            self._solve_pool.close()
-            self._solve_pool = None
         for context in self._contexts:
             if context.pir is not self.scheme.pir:
                 closer = getattr(context.pir, "close", None)
                 if closer is not None:
                     closer()
-
-    @property
-    def solve_pool(self) -> SolvePool:
-        """The engine's persistent process pool (created on first use)."""
-        if self._solve_pool is None:
-            self._solve_pool = SolvePool()
-            self._owns_solve_pool = True
-        return self._solve_pool
 
     def execute(self, source: NodeId, target: NodeId) -> QueryResult:
         """Answer a single query through the engine's page cache."""
@@ -307,19 +278,13 @@ class QueryEngine:
         verify_costs: bool = True,
         cost_tolerance: float = 1e-4,
         workers: int = 1,
-        pipeline: bool = True,
-        worker_mode: str = "thread",
     ) -> BatchResult:
         """Execute every query of ``pairs`` and verify the batch as a whole.
 
         ``workers`` shards the batch round-robin across that many worker
-        contexts (capped at the batch size).  ``worker_mode="thread"`` runs
-        the contexts on threads, and ``pipeline`` overlaps the PIR retrieval
-        of each shard's next query with the solve of its current one;
-        ``worker_mode="process"`` keeps retrieval in the calling process and
-        executes the CPU-bound solve phases on a process pool (the retrieval
-        of later queries naturally overlaps the outstanding remote solves).
-        An empty batch is legal and returns an empty result (workers=0).
+        contexts (capped at the batch size), each on its own thread; a
+        single worker runs the batch on the calling thread.  An empty batch
+        is legal and returns an empty result (workers=0).
 
         Cost verification is batched: the pairs are grouped by source and
         each distinct source triggers one (early-terminating) Dijkstra over
@@ -328,10 +293,6 @@ class QueryEngine:
         pairs = list(pairs)
         if workers < 1:
             raise SchemeError(f"workers must be positive, got {workers}")
-        if worker_mode not in WORKER_MODES:
-            raise SchemeError(
-                f"unknown worker_mode {worker_mode!r}; expected one of {WORKER_MODES}"
-            )
         if not pairs:
             return BatchResult(
                 scheme_name=self.scheme.name,
@@ -344,7 +305,6 @@ class QueryEngine:
                 cache_misses=0,
                 wall_seconds=0.0,
                 workers=0,
-                worker_mode=worker_mode,
                 shards=self.shards,
                 store_backend=self.store_backend,
                 pir_kernel=self.pir_kernel,
@@ -357,17 +317,15 @@ class QueryEngine:
 
         started = time.perf_counter()
         indexed: List[_IndexedPair] = list(enumerate(pairs))
-        if worker_mode == "process":
-            results = self._run_batch_process(contexts, indexed, workers)
-        elif workers == 1:
-            results = [result for _, result in self._run_shard(contexts[0], indexed, pipeline)]
+        if workers == 1:
+            results = [result for _, result in self._run_shard(contexts[0], indexed)]
         else:
             results_by_index: List[Optional[QueryResult]] = [None] * len(pairs)
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-engine"
             ) as pool:
                 futures = [
-                    pool.submit(self._run_shard, contexts[w], indexed[w::workers], pipeline)
+                    pool.submit(self._run_shard, contexts[w], indexed[w::workers])
                     for w in range(workers)
                 ]
                 for future in futures:
@@ -403,7 +361,6 @@ class QueryEngine:
             cache_misses=sum(context.cache.misses for context in contexts) - misses_before,
             wall_seconds=wall_seconds,
             workers=workers,
-            worker_mode=worker_mode,
             shards=self.shards,
             store_backend=self.store_backend,
             pir_kernel=self.pir_kernel,
@@ -457,90 +414,13 @@ class QueryEngine:
         )
 
     def _run_shard(
-        self,
-        context: _WorkerContext,
-        shard: List[_IndexedPair],
-        pipeline: bool,
+        self, context: _WorkerContext, shard: List[_IndexedPair]
     ) -> List[Tuple[int, QueryResult]]:
-        """Execute one shard; returns ``(batch_index, result)`` pairs."""
-        out: List[Tuple[int, QueryResult]] = []
-        if pipeline and len(shard) > 1:
-            # one retrieval thread per worker: while this thread solves query
-            # k, the retrieval thread runs the PIR rounds of query k + 1
-            with ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-prefetch"
-            ) as prefetcher:
-                future = prefetcher.submit(self._prepare, context, shard[0])
-                for position, (index, _) in enumerate(shard):
-                    prepared = future.result()
-                    if position + 1 < len(shard):
-                        future = prefetcher.submit(self._prepare, context, shard[position + 1])
-                    out.append((index, self._solve(context, prepared)))
-        else:
-            for item in shard:
-                out.append((item[0], self._solve(context, self._prepare(context, item))))
-        return out
-
-    def _run_batch_process(
-        self,
-        contexts: List[_WorkerContext],
-        indexed: List[_IndexedPair],
-        workers: int,
-    ) -> List[QueryResult]:
-        """Execute the batch with the solve phases on a process pool.
-
-        Retrieval (the PIR rounds) stays in the calling process — the worker
-        contexts' PIR state, decode caches and packed server kernels are
-        in-process objects, so no worker process ever reads a pack — and
-        runs in batch order; every prepared query that carries a picklable
-        :class:`~repro.schemes.base.RemoteSolve` is shipped to the pool as
-        soon as its rounds complete, so later retrievals overlap outstanding
-        remote solves.  Queries whose assembled subgraph is already in the
-        context's decode cache solve in-process instead (one cache probe
-        beats a pickle round trip); remote solves do *not* populate the
-        parent cache — the subprocess keeps the assembled graph — so cache
-        statistics differ from thread mode even though results are
-        identical.  Queries without a remote split (schemes whose default
-        ``prepare_query`` runs eagerly) also solve in-process, which is free
-        for them — their solve closure only returns the precomputed result.
-        """
-        results_by_index: List[Optional[QueryResult]] = [None] * len(indexed)
-        pending: List[Tuple[int, PreparedQuery, object]] = []
-        #: (cache_key, pair) → in-flight future; repeated hot pairs fetch
-        #: identical bytes and search identical endpoints, so their solves
-        #: are the same deterministic computation — submit it once
-        in_flight: Dict[Tuple, object] = {}
-        # the engine's persistent pool: workers stay warm across batches
-        # instead of paying ProcessPoolExecutor spin-up per run_batch call
-        pool = self.solve_pool.executor(workers)
-        for position, item in enumerate(indexed):
-            # mirror the thread path's round-robin shard assignment
-            context = contexts[position % workers]
-            prepared = self._prepare(context, item)
-            remote = prepared.remote
-            already_assembled = (
-                remote is not None
-                and remote.cache_key is not None
-                and remote.cache_key in context.cache
-            )
-            if remote is not None and not already_assembled:
-                solve_key = (
-                    (remote.cache_key, item[1])
-                    if remote.cache_key is not None
-                    else None
-                )
-                future = in_flight.get(solve_key) if solve_key is not None else None
-                if future is None:
-                    future = pool.submit(remote.function, *remote.args)
-                    if solve_key is not None:
-                        in_flight[solve_key] = future
-                pending.append((item[0], prepared, future))
-            else:
-                results_by_index[item[0]] = self._solve(context, prepared)
-        for index, prepared, future in pending:
-            path, solve_seconds = future.result()
-            results_by_index[index] = prepared.finish(path, solve_seconds)
-        return results_by_index
+        """Execute one shard in order; returns ``(batch_index, result)`` pairs."""
+        return [
+            (item[0], self._solve(context, self._prepare(context, item)))
+            for item in shard
+        ]
 
     def _prepare(self, context: _WorkerContext, item: _IndexedPair) -> PreparedQuery:
         index, (source, target) = item

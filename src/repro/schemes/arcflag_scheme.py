@@ -220,6 +220,7 @@ class ArcFlagScheme(Scheme):
         header_bytes = rounds.download_header()
         with timer:
             header = HeaderInfo.decode(header_bytes)
+            header.check_page_counts(rounds.file_pages)
             target_region = self.partitioning.region_of_node(target)
             restricted = self._restricted_network(self.network, self.flags, target_region)
             path = shortest_path(restricted, source, target)

@@ -20,7 +20,6 @@ assembly returns identical costs, paths and traces.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError
@@ -36,12 +35,8 @@ __all__ = [
     "assemble_passage_csr",
     "assemble_region_csr",
     "csr_shortest_path",
-    "passage_cache_key",
     "reference_passage_graph",
     "reference_region_graph",
-    "region_cache_key",
-    "solve_passage_query",
-    "solve_region_query",
     "subgraph_from_entry",
 ]
 
@@ -63,25 +58,6 @@ def _build_csr(
     return builder.build()
 
 
-def region_cache_key(payload_groups: Sequence[Sequence[bytes]]) -> Tuple:
-    """The decode-cache key of a region-set query's assembled subgraph.
-
-    Exposed so the engine can probe a worker's cache before shipping the
-    solve phase to a process pool — a hit means the in-process solve is one
-    cache probe, cheaper than any subprocess round trip.
-    """
-    return ("csr", None, _joined_payloads(payload_groups))
-
-
-def passage_cache_key(
-    payload_groups: Sequence[Sequence[bytes]],
-    index_pages: Sequence[bytes],
-    pair: RegionPair,
-) -> Tuple:
-    """The decode-cache key of a passage-subgraph query's assembled subgraph."""
-    return ("csr", (pair, tuple(index_pages)), _joined_payloads(payload_groups))
-
-
 def assemble_region_csr(payload_groups: Sequence[Sequence[bytes]]) -> CsrGraph:
     """The client search graph of a region-set query (CI, un-replaced HY pairs).
 
@@ -91,8 +67,8 @@ def assemble_region_csr(payload_groups: Sequence[Sequence[bytes]]) -> CsrGraph:
     queries and must be treated as read-only — searches allocate their own
     working state, so sharing is safe.
     """
-    key = region_cache_key(payload_groups)
-    joined = key[2]
+    joined = _joined_payloads(payload_groups)
+    key = ("csr", None, joined)
     cache = current_decode_cache()
     if cache is None:
         return _build_csr(joined)
@@ -118,8 +94,8 @@ def assemble_passage_csr(
     e.g. HY's round-3 decode).  Raises :class:`~repro.exceptions.SchemeError`
     when the pages carry no passage-subgraph entry for ``pair``.
     """
-    key = passage_cache_key(payload_groups, index_pages, pair)
-    joined = key[2]
+    joined = _joined_payloads(payload_groups)
+    key = ("csr", (pair, tuple(index_pages)), joined)
     cache = current_decode_cache()
     if cache is not None:
         csr = cache.get(key)
@@ -133,42 +109,6 @@ def assemble_passage_csr(
     if cache is not None:
         cache.put(key, csr)
     return csr
-
-
-# ---------------------------------------------------------------------- #
-# remote solve phases (module-level so they pickle by reference; executed
-# by the engine's process workers, see QueryEngine.run_batch(worker_mode=
-# "process"))
-# ---------------------------------------------------------------------- #
-def solve_region_query(
-    payload_groups: Sequence[Sequence[bytes]], source, target
-) -> Tuple["Path", float]:
-    """Decode, assemble and search a region-set query (CI, region-set HY).
-
-    Takes only plain data (page bytes and node ids), so the whole CPU-bound
-    solve phase can execute in a worker process; returns the path plus the
-    solve wall time.  The search result is bit-identical to the in-process
-    solve — assembly and search are deterministic functions of the bytes.
-    """
-    started = time.perf_counter()
-    graph = assemble_region_csr(payload_groups)
-    path = csr_shortest_path(graph, source, target)
-    return path, time.perf_counter() - started
-
-
-def solve_passage_query(
-    payload_groups: Sequence[Sequence[bytes]],
-    index_pages: Sequence[bytes],
-    pair: RegionPair,
-    source,
-    target,
-    entry: Optional[IndexEntry] = None,
-) -> Tuple["Path", float]:
-    """Decode, assemble and search a passage-subgraph query (PI, PI*, APX, HY)."""
-    started = time.perf_counter()
-    graph = assemble_passage_csr(payload_groups, index_pages, pair, entry)
-    path = csr_shortest_path(graph, source, target)
-    return path, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------- #

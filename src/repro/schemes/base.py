@@ -21,10 +21,10 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..costmodel import CostModel, DEFAULT_SPEC, ResponseTime, SystemSpec
-from ..exceptions import PlanViolationError, SchemeError
+from ..exceptions import PlanViolationError
 from ..network import NodeId, Path, RoadNetwork
 from ..pir import AccessTrace, AdversaryView, SecureCoprocessor, UsablePirSimulator
 from ..storage import Database
@@ -70,67 +70,26 @@ def client_state_scope(pir: "UsablePirSimulator", rng: random.Random):
         _client_state_var.reset(token)
 
 
-class RemoteSolve(NamedTuple):
-    """The picklable portion of a prepared query's solve phase.
-
-    ``function`` must be a module-level callable (picklable by reference) and
-    ``args`` plain data (page bytes, node ids, …); the function returns
-    ``(path, solve_seconds)``.  The engine's process workers execute exactly
-    this — the CPU-bound record decode, CSR assembly and search — in a
-    subprocess, and the result is stitched back into a
-    :class:`QueryResult` by :meth:`PreparedQuery.finish`.
-
-    ``cache_key`` names the assembled subgraph's entry in the worker's
-    decode cache (when the scheme has one): the engine probes it before
-    shipping the solve to a subprocess, because a cached assembly makes the
-    in-process solve cheaper than any pickle round trip.
-    """
-
-    function: Callable
-    args: Tuple
-    cache_key: Optional[Tuple] = None
-
-
 class PreparedQuery:
     """A query whose PIR rounds have completed.
 
-    Splitting a query into a *retrieval* phase (all protocol rounds, plus the
+    A query splits into a *retrieval* phase (all protocol rounds, plus the
     light decoding needed to address the next round's pages) and a *solve*
-    phase (region decoding, subgraph assembly and the shortest-path search)
-    lets the engine pipeline a batch: the PIR rounds of the next query overlap
-    the client-side solve of the current one.
-
-    Schemes whose solve phase is pure data → path (the CSR-native pipelines)
-    additionally supply ``remote`` — a picklable :class:`RemoteSolve` — and
-    ``finish``, which turns the remote result back into a
-    :class:`QueryResult`.  That pair is what lets the engine ship the
-    CPU-bound decode to process workers (``worker_mode="process"``) while
-    retrieval and plan verification stay in the parent.
+    phase (region decoding, subgraph assembly and the shortest-path search).
+    The engine runs the two back to back; the split is kept because it
+    gives the phases distinct, named seams — the end-to-end tracer times
+    ``prepare_query`` and :meth:`solve` separately to attribute a query's
+    wall time to retrieval versus client-side solve.
     """
 
-    __slots__ = ("_solve", "remote", "_finish")
+    __slots__ = ("_solve",)
 
-    def __init__(
-        self,
-        solve: Callable[[], "QueryResult"],
-        remote: Optional[RemoteSolve] = None,
-        finish: Optional[Callable[[Path, float], "QueryResult"]] = None,
-    ) -> None:
-        if (remote is None) != (finish is None):
-            raise SchemeError("remote and finish must be supplied together")
+    def __init__(self, solve: Callable[[], "QueryResult"]) -> None:
         self._solve = solve
-        self.remote = remote
-        self._finish = finish
 
     def solve(self) -> "QueryResult":
         """Run the remaining client-side work and produce the result."""
         return self._solve()
-
-    def finish(self, path: Path, solve_seconds: float) -> "QueryResult":
-        """Complete the query from a remotely executed solve phase."""
-        if self._finish is None:
-            raise SchemeError("this prepared query has no remote solve phase")
-        return self._finish(path, solve_seconds)
 
 
 class RoundManager:
@@ -172,6 +131,10 @@ class RoundManager:
         )
         return data
 
+    def file_pages(self, file_name: str) -> int:
+        """The true page count of ``file_name``, as the PIR layer serves it."""
+        return self._pir.database.file(file_name).num_pages
+
     def pages_fetched_this_round(self, file_name: str) -> int:
         return self._round_counts.get(file_name, 0)
 
@@ -193,7 +156,7 @@ class RoundManager:
                 f"query fetches {wanted} pages from {file_name!r} but the plan "
                 f"allows only {target_pages}"
             )
-        num_pages = self._pir.database.file(file_name).num_pages
+        num_pages = self.file_pages(file_name)
         dummies = [self._rng.randrange(num_pages) for _ in range(target_pages - wanted)]
         if not pages and not dummies:
             return []
@@ -316,8 +279,7 @@ class Scheme(abc.ABC):
         Schemes with a CSR-native client pipeline override this to return
         after the last round, leaving region decoding, subgraph assembly and
         the search to :meth:`PreparedQuery.solve`.  The default runs the
-        whole query eagerly, so every scheme works under the pipelined
-        engine.
+        whole query eagerly, so every scheme works under the engine.
         """
         result = self.query(source, target)
         return PreparedQuery(lambda: result)

@@ -33,7 +33,7 @@ from ..precompute import BorderProducts, compute_border_products
 from ..storage import Database
 from . import assembly
 from .assembly import csr_shortest_path
-from .base import PreparedQuery, QueryResult, RemoteSolve, Scheme, Timer
+from .base import PreparedQuery, QueryResult, Scheme, Timer
 from .files import (
     DATA_FILE,
     HeaderInfo,
@@ -186,6 +186,7 @@ class ConciseIndexScheme(Scheme):
         header_bytes = rounds.download_header()
         with timer:
             header = HeaderInfo.decode(header_bytes)
+            header.check_page_counts(rounds.file_pages)
             source_node = self.network.node(source)
             target_node = self.network.node(target)
             source_region = header.region_of_point(source_node.x, source_node.y)
@@ -224,12 +225,4 @@ class ConciseIndexScheme(Scheme):
                 path = csr_shortest_path(subgraph, source, target)
             return self.finish_query(path, trace, timer.seconds)
 
-        def finish(path, solve_seconds: float) -> QueryResult:
-            return self.finish_query(path, trace, timer.seconds + solve_seconds)
-
-        remote = RemoteSolve(
-            assembly.solve_region_query,
-            (payloads, source, target),
-            assembly.region_cache_key(payloads),
-        )
-        return PreparedQuery(solve, remote=remote, finish=finish)
+        return PreparedQuery(solve)

@@ -18,7 +18,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError, StorageError
 from ..network import RoadNetwork
@@ -164,6 +164,36 @@ class HeaderInfo:
         start = min(first_page, max(0, self.num_index_pages - count))
         end = min(self.num_index_pages, start + count)
         return list(range(start, end))
+
+    def check_page_counts(self, pages_of: Callable[[str], int]) -> None:
+        """Reject a header whose page counts disagree with the files served.
+
+        The counts are well-formed integers either way, but a lying count
+        sizes the client's index window and its padding (up to 2**32
+        entries).  ``pages_of`` reports a file's true page count, which the
+        client learns from the PIR layer, not from the header.  The counts
+        the header assigns to each named file (HY's index and data share
+        the combined file) must sum to that file's page count, and the
+        index window must fit inside the index.
+        """
+        claimed: Dict[str, int] = {}
+        for name, count in (
+            (self.index_file, self.num_index_pages),
+            (self.data_file, self.num_data_pages),
+            (self.lookup_file, self.num_lookup_pages),
+        ):
+            claimed[name] = claimed.get(name, 0) + count
+        for name, count in claimed.items():
+            actual = pages_of(name)
+            if count != actual:
+                raise StorageError(
+                    f"header assigns {count} pages to file {name!r}, which holds {actual}"
+                )
+        if self.index_fetch_pages > self.num_index_pages:
+            raise StorageError(
+                f"header fetches {self.index_fetch_pages} index pages per query "
+                f"from an index of {self.num_index_pages}"
+            )
 
     def encode(self) -> bytes:
         writer = RecordWriter()

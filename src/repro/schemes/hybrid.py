@@ -32,7 +32,7 @@ from ..precompute import BorderProducts, compute_border_products
 from ..storage import Database
 from . import assembly
 from .assembly import csr_shortest_path
-from .base import PreparedQuery, QueryResult, RemoteSolve, Scheme, Timer
+from .base import PreparedQuery, QueryResult, Scheme, Timer
 from .files import (
     COMBINED_FILE,
     HeaderInfo,
@@ -246,6 +246,7 @@ class HybridScheme(Scheme):
         header_bytes = rounds.download_header()
         with timer:
             header = HeaderInfo.decode(header_bytes)
+            header.check_page_counts(rounds.file_pages)
             source_node = self.network.node(source)
             target_node = self.network.node(target)
             source_region = header.region_of_point(source_node.x, source_node.y)
@@ -308,27 +309,4 @@ class HybridScheme(Scheme):
                 path = csr_shortest_path(graph, source, target)
             return self.finish_query(path, trace, timer.seconds)
 
-        def finish(path, solve_seconds: float) -> QueryResult:
-            return self.finish_query(path, trace, timer.seconds + solve_seconds)
-
-        if is_subgraph_entry:
-            all_index_pages = list(fetched_index) + continuation_pages
-            remote = RemoteSolve(
-                assembly.solve_passage_query,
-                (
-                    payloads,
-                    all_index_pages,
-                    key,
-                    source,
-                    target,
-                    None if continuation_pages else round3_entry,
-                ),
-                assembly.passage_cache_key(payloads, all_index_pages, key),
-            )
-        else:
-            remote = RemoteSolve(
-                assembly.solve_region_query,
-                (payloads, source, target),
-                assembly.region_cache_key(payloads),
-            )
-        return PreparedQuery(solve, remote=remote, finish=finish)
+        return PreparedQuery(solve)

@@ -206,6 +206,7 @@ class LandmarkScheme(Scheme):
         header_bytes = rounds.download_header()
         with timer:
             header = HeaderInfo.decode(header_bytes)
+            header.check_page_counts(rounds.file_pages)
             path = astar_search(
                 self.network, source, target, heuristic=self.landmarks.heuristic_for(target)
             )

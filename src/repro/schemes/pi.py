@@ -29,7 +29,7 @@ from ..precompute import BorderProducts, compute_border_products
 from ..storage import Database
 from . import assembly
 from .assembly import csr_shortest_path, subgraph_from_entry
-from .base import PreparedQuery, QueryResult, RemoteSolve, Scheme, Timer
+from .base import PreparedQuery, QueryResult, Scheme, Timer
 from .files import (
     DATA_FILE,
     HeaderInfo,
@@ -182,6 +182,7 @@ class PassageIndexScheme(Scheme):
         header_bytes = rounds.download_header()
         with timer:
             header = HeaderInfo.decode(header_bytes)
+            header.check_page_counts(rounds.file_pages)
             source_node = self.network.node(source)
             target_node = self.network.node(target)
             source_region = header.region_of_point(source_node.x, source_node.y)
@@ -214,14 +215,4 @@ class PassageIndexScheme(Scheme):
                 path = csr_shortest_path(graph, source, target)
             return self.finish_query(path, trace, timer.seconds)
 
-        def finish(path, solve_seconds: float) -> QueryResult:
-            return self.finish_query(path, trace, timer.seconds + solve_seconds)
-
-        remote = RemoteSolve(
-            assembly.solve_passage_query,
-            (payloads, fetched_index, (source_region, target_region), source, target),
-            assembly.passage_cache_key(
-                payloads, fetched_index, (source_region, target_region)
-            ),
-        )
-        return PreparedQuery(solve, remote=remote, finish=finish)
+        return PreparedQuery(solve)

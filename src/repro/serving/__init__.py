@@ -1,4 +1,4 @@
-"""The PIR shard service: TCP serving, remote clients, and the worker pool.
+"""The PIR shard service: TCP serving and remote clients.
 
 Server side (:mod:`repro.serving.server`): one asyncio :class:`ShardServer`
 per database shard answering subset-mask batches through the packed
@@ -10,15 +10,12 @@ backpressure) and graceful drain;
 (:mod:`repro.serving.client`): :class:`TcpShardTransport` carries an
 in-process shard connection's shares over pooled connections and
 :class:`RemotePirSimulator` presents the in-process simulator surface over
-it, bit-identical to local serving (invariant I2).  Engine
-side (:mod:`repro.serving.pool`): the persistent :class:`SolvePool`
-process pool the query engine reuses across batches.
+it, bit-identical to local serving (invariant I2).
 :mod:`repro.serving.loadgen` is the open-loop load harness over all of it.
 """
 
 from .client import ConnectionPool, RemotePirSimulator, ShardConnection, TcpShardTransport
 from .loadgen import LoadReport, run_loadgen, run_loadgen_multiproc
-from .pool import SolvePool
 from .server import ShardCluster, ShardServer
 from .wire import (
     FrameDecoder,
@@ -39,7 +36,6 @@ __all__ = [
     "ShardConnection",
     "ShardInfo",
     "ShardServer",
-    "SolvePool",
     "TcpShardTransport",
     "WireError",
     "run_loadgen",

@@ -34,7 +34,6 @@ EXPECTED_FIRING = {
     ("benchmarks/storage_probe.py", 12, "res-unclosed-store"),
     ("src/repro/serving/leaky_server.py", 9, "privacy-taint"),
     ("src/repro/serving/leaky_server.py", 10, "privacy-queries-seen"),
-    ("src/repro/serving/pool.py", 7, "det-wallclock"),
     ("src/repro/schemes/serial_fetch.py", 4, "perf-serial-fetch"),
     ("src/repro/schemes/serial_fetch.py", 7, "perf-serial-fetch"),
     ("src/repro/schemes/serial_fetch.py", 8, "perf-serial-fetch"),

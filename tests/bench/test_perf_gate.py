@@ -33,7 +33,6 @@ PASSING_DATA = {
     "batch_PI": {"speedup": 3.5},
     "sharded_pir": {"speedup": 2.0},
     "xor_kernel": {"kernel": "python", "speedup": 1.0},
-    "warm_pool": {"reuse": 1.0},
     "pi_build": {"pi_over_ci": 1.3},
     "cold_client": {"speedup": 2.5},
 }

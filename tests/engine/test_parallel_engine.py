@@ -1,13 +1,12 @@
-"""Tests for the sharded/pipelined side of the query engine."""
+"""Tests for the sharded, multi-worker side of the query engine."""
 
-from pathlib import Path
+import threading
 
 import pytest
 
-from repro.bench.workloads import generate_workload
+from repro.bench.workloads import generate_hotspot_workload, generate_workload
 from repro.engine import QueryEngine
 from repro.exceptions import SchemeError
-from repro.pir import numpy_available
 
 
 class TestWorkerSharding:
@@ -51,13 +50,51 @@ class TestWorkerSharding:
         assert second.cache_misses == 0
         assert second.cache_hits > 0
 
-    def test_schemes_without_prepare_split_run_pipelined(self, landmark_scheme, query_pairs):
+    def test_schemes_without_prepare_split_run_on_threads(self, landmark_scheme, query_pairs):
         # LM uses the default prepare_query (no retrieve/solve split); the
-        # pipelined sharded engine must still execute it correctly
-        engine = QueryEngine(landmark_scheme)
-        batch = engine.run_batch(query_pairs[:4], verify_costs=False, workers=2)
-        assert batch.num_queries == 4
-        assert batch.indistinguishable
+        # multi-worker engine must still execute it, with the serial results
+        serial = QueryEngine(landmark_scheme).run_batch(query_pairs, verify_costs=False)
+        threaded = QueryEngine(landmark_scheme).run_batch(
+            query_pairs, verify_costs=False, workers=2
+        )
+        assert threaded.num_queries == len(query_pairs)
+        assert threaded.indistinguishable
+        for serial_result, threaded_result in zip(serial.results, threaded.results):
+            assert serial_result.path.nodes == threaded_result.path.nodes
+            assert serial_result.adversary_view == threaded_result.adversary_view
+
+    def test_hotspot_workload_on_threads_matches_serial(self, ci_scheme, small_network):
+        # repeated pairs share one worker's cached assemblies across queries
+        pairs = generate_hotspot_workload(
+            small_network, count=12, seed=83, hot_pairs=3, hot_fraction=0.75
+        )
+        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1)
+        threaded = QueryEngine(ci_scheme).run_batch(pairs, workers=2)
+        for serial_result, threaded_result in zip(serial.results, threaded.results):
+            assert serial_result.path.nodes == threaded_result.path.nodes
+            assert serial_result.adversary_view == threaded_result.adversary_view
+            assert (
+                serial_result.trace.private_page_requests()
+                == threaded_result.trace.private_page_requests()
+            )
+
+    def test_multi_pair_batch_starts_no_helper_thread(
+        self, ci_scheme, small_network, monkeypatch
+    ):
+        # one worker runs prepare -> solve in sequence on the calling thread
+        pairs = generate_workload(small_network, count=8, seed=89)
+        engine = QueryEngine(ci_scheme)
+        started = []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        batch = engine.run_batch(pairs, verify_costs=False, workers=1)
+        assert batch.num_queries == 8
+        assert started == []
 
 
 class TestShardedEngine:
@@ -94,91 +131,6 @@ class TestShardedEngine:
     def test_invalid_shard_count_rejected(self, ci_scheme):
         with pytest.raises(SchemeError):
             QueryEngine(ci_scheme, shards=0)
-
-
-class TestProcessWorkers:
-    """``worker_mode="process"``: CPU-bound solves run on a process pool."""
-
-    def test_process_mode_matches_thread_mode(self, ci_scheme, query_pairs):
-        thread = QueryEngine(ci_scheme).run_batch(query_pairs, workers=2)
-        process = QueryEngine(ci_scheme).run_batch(
-            query_pairs, workers=2, worker_mode="process"
-        )
-        assert process.worker_mode == "process"
-        assert process.all_costs_correct and process.indistinguishable
-        for thread_result, process_result in zip(thread.results, process.results):
-            assert thread_result.path.nodes == process_result.path.nodes
-            assert thread_result.path.cost == pytest.approx(
-                process_result.path.cost, rel=1e-12
-            )
-            assert thread_result.adversary_view == process_result.adversary_view
-
-    def test_process_mode_handles_schemes_without_remote_split(
-        self, landmark_scheme, query_pairs
-    ):
-        # LM has no RemoteSolve; its eager prepared queries solve in-process
-        engine = QueryEngine(landmark_scheme)
-        batch = engine.run_batch(query_pairs[:4], verify_costs=False,
-                                 workers=2, worker_mode="process")
-        assert batch.num_queries == 4
-        assert batch.indistinguishable
-
-    def test_remote_solve_is_picklable(self, ci_scheme, pi_scheme, query_pairs):
-        import pickle
-
-        for scheme in (ci_scheme, pi_scheme):
-            prepared = scheme.prepare_query(*query_pairs[0])
-            assert prepared.remote is not None
-            remote = pickle.loads(pickle.dumps(prepared.remote))
-            assert remote.cache_key is not None
-            path, solve_seconds = remote.function(*remote.args)
-            assert path.nodes == prepared.solve().path.nodes
-            assert solve_seconds >= 0.0
-
-    def test_process_mode_hotspot_workload_matches_serial(self, ci_scheme, small_network):
-        # repeated pairs exercise the engine's in-flight solve dedup
-        from repro.bench.workloads import generate_hotspot_workload
-
-        pairs = generate_hotspot_workload(
-            small_network, count=12, seed=83, hot_pairs=3, hot_fraction=0.75
-        )
-        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=False)
-        process = QueryEngine(ci_scheme).run_batch(pairs, workers=2, worker_mode="process")
-        for serial_result, process_result in zip(serial.results, process.results):
-            assert serial_result.path.nodes == process_result.path.nodes
-            assert serial_result.adversary_view == process_result.adversary_view
-            assert (
-                serial_result.trace.private_page_requests()
-                == process_result.trace.private_page_requests()
-            )
-
-    def test_process_mode_reuses_cached_assemblies(self, ci_scheme, query_pairs):
-        # a warm context cache (from a thread-mode batch) short-circuits the
-        # process pool: the repeated batch solves via in-process cache hits
-        engine = QueryEngine(ci_scheme)
-        engine.run_batch(query_pairs, verify_costs=False)
-        warm = engine.run_batch(query_pairs, verify_costs=False, worker_mode="process")
-        assert warm.cache_misses == 0
-        assert warm.cache_hits > 0
-        assert warm.indistinguishable
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
-    def test_process_batch_adds_nothing_to_dev_shm(self, ci_scheme, query_pairs):
-        # workers only solve: every retrieval, and so every packed kernel,
-        # stays in the engine's process and nothing is copied out for them
-        shm = Path("/dev/shm")
-        before = {entry.name for entry in shm.iterdir()}
-        with QueryEngine(ci_scheme, shards=2, pir_kernel="numpy") as engine:
-            batch = engine.run_batch(query_pairs, workers=2, worker_mode="process")
-            assert batch.all_costs_correct and batch.indistinguishable
-            assert {entry.name for entry in shm.iterdir()} - before == set()
-
-    def test_finish_requires_remote_split(self, landmark_scheme, query_pairs):
-        prepared = landmark_scheme.prepare_query(*query_pairs[0])
-        assert prepared.remote is None
-        with pytest.raises(SchemeError):
-            prepared.finish(None, 0.0)
 
 
 class TestPreparedQueries:

@@ -53,8 +53,8 @@ class TestLruCache:
         assert len(cache) == 0
 
     def test_concurrent_get_put_stays_consistent(self):
-        """The pipelined worker pattern: one thread fills the cache while
-        another reads it.  The cache must never exceed capacity, never lose
+        """Concurrent users of one cache: threads fill the cache while
+        others read it.  The cache must never exceed capacity, never lose
         accounting, and never raise from the concurrent dict mutation."""
         cache = LruCache(32)
         keys = [f"page-{index}" for index in range(100)]
@@ -186,11 +186,6 @@ class TestQueryEngine:
     def test_negative_cache_entries_rejected(self, ci_scheme):
         with pytest.raises(SchemeError):
             QueryEngine(ci_scheme, cache_entries=-1)
-
-    def test_invalid_worker_mode_rejected(self, ci_scheme, query_pairs):
-        engine = QueryEngine(ci_scheme)
-        with pytest.raises(SchemeError):
-            engine.run_batch(query_pairs, worker_mode="greenlet")
 
     def test_throughput_metrics(self, ci_scheme, query_pairs):
         engine = QueryEngine(ci_scheme)

@@ -1,11 +1,10 @@
-"""Property: kernel, shard count and worker mode change nothing observable (I2).
+"""Property: kernel, shard count and worker count change nothing observable (I2).
 
 The packed kernel is pinned to the big-int oracle — answers and the error
 paths, which must raise the identical ``PirError`` — and the serving and
 engine stacks are pinned to plain in-process serving: the adversary-visible
 ``queries_seen`` streams and end-to-end engine batches across every kernel
-× shard count × worker mode combination they expose.  Process workers only
-solve; every retrieval, and so every pack, stays in the engine's process.
+× shard count × worker count combination they expose.
 """
 
 import random
@@ -128,7 +127,7 @@ class TestServingEquivalence:
 
 
 class TestEngineEquivalence:
-    """run_batch across kernel × shards × worker-mode."""
+    """run_batch across kernel × shards × workers."""
 
     @pytest.fixture(scope="class")
     def baseline(self, ci_scheme, pairs):
@@ -136,34 +135,26 @@ class TestEngineEquivalence:
         return batch_fingerprint(engine.run_batch(pairs, verify_costs=True))
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("shards,workers,worker_mode", [
-        (2, 2, "thread"),
-        (2, 2, "process"),
-        (3, 2, "process"),
-    ])
+    @pytest.mark.parametrize("shards,workers", [(2, 2), (2, 3), (3, 3)])
     def test_local_batches_bit_identical(
-        self, ci_scheme, pairs, baseline, kernel, shards, workers, worker_mode
+        self, ci_scheme, pairs, baseline, kernel, shards, workers
     ):
         with QueryEngine(
             ci_scheme, cache_entries=64, shards=shards, pir_kernel=kernel
         ) as engine:
-            batch = engine.run_batch(
-                pairs, verify_costs=True, workers=workers, worker_mode=worker_mode
-            )
+            batch = engine.run_batch(pairs, verify_costs=True, workers=workers)
         assert batch.all_costs_correct
         assert batch.indistinguishable
         assert batch_fingerprint(batch) == baseline
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [2, 3])
     def test_remote_batches_bit_identical(
-        self, ci_scheme, pairs, baseline, kernel, worker_mode
+        self, ci_scheme, pairs, baseline, kernel, workers
     ):
         with ShardCluster(ci_scheme.database, num_shards=2, kernel=kernel) as cluster:
             with QueryEngine(ci_scheme, cache_entries=64, serving=cluster) as engine:
-                batch = engine.run_batch(
-                    pairs, verify_costs=True, workers=2, worker_mode=worker_mode
-                )
+                batch = engine.run_batch(pairs, verify_costs=True, workers=workers)
         assert batch.remote
         assert batch.all_costs_correct
         assert batch.indistinguishable

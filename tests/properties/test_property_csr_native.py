@@ -92,7 +92,7 @@ class TestParallelExecutionIdentity:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_ci_parallel_matches_serial(self, ci_scheme, small_network, workers):
         pairs = generate_workload(small_network, count=9, seed=23)
-        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=False)
+        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1)
         parallel = QueryEngine(ci_scheme).run_batch(pairs, workers=workers)
         assert parallel.workers == workers
         assert parallel.all_costs_correct == serial.all_costs_correct
@@ -101,65 +101,44 @@ class TestParallelExecutionIdentity:
 
     def test_pi_parallel_matches_serial(self, pi_scheme, small_network):
         pairs = generate_workload(small_network, count=8, seed=31)
-        serial = QueryEngine(pi_scheme).run_batch(pairs, workers=1, pipeline=False)
+        serial = QueryEngine(pi_scheme).run_batch(pairs, workers=1)
         parallel = QueryEngine(pi_scheme).run_batch(pairs, workers=4)
         _assert_identical_batches(serial, parallel)
 
-    def test_pipelining_matches_sequential(self, ci_scheme, small_network):
-        pairs = generate_workload(small_network, count=6, seed=41)
-        sequential = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=False)
-        pipelined = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=True)
-        _assert_identical_batches(sequential, pipelined)
-
 
 class TestShardModeIdentity:
-    """Every (shards, workers, worker_mode) combination must produce
+    """Every (shards, workers) combination must produce
     bit-identical paths, traces and adversary views to the serial engine."""
 
     @pytest.mark.parametrize(
-        "shards,workers,worker_mode",
-        [
-            (2, 2, "thread"),
-            (4, 1, "thread"),
-            (4, 3, "thread"),
-            (1, 2, "process"),
-            (2, 2, "process"),
-            (4, 1, "process"),
-        ],
+        "shards,workers", [(2, 2), (4, 1), (4, 3), (2, 3), (3, 1), (3, 2)]
     )
-    def test_ci_matrix_matches_serial(self, ci_scheme, small_network, shards, workers, worker_mode):
+    def test_ci_matrix_matches_serial(self, ci_scheme, small_network, shards, workers):
         pairs = generate_workload(small_network, count=8, seed=61)
-        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=False)
-        combined = QueryEngine(ci_scheme, shards=shards).run_batch(
-            pairs, workers=workers, worker_mode=worker_mode
-        )
+        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1)
+        combined = QueryEngine(ci_scheme, shards=shards).run_batch(pairs, workers=workers)
         assert combined.shards == shards
-        assert combined.worker_mode == worker_mode
         assert combined.all_costs_correct == serial.all_costs_correct
         assert combined.true_costs == serial.true_costs
         _assert_identical_batches(serial, combined)
 
-    @pytest.mark.parametrize("shards,workers,worker_mode", [(3, 2, "thread"), (2, 2, "process")])
-    def test_pi_matrix_matches_serial(self, pi_scheme, small_network, shards, workers, worker_mode):
+    @pytest.mark.parametrize("shards,workers", [(3, 2), (2, 3)])
+    def test_pi_matrix_matches_serial(self, pi_scheme, small_network, shards, workers):
         pairs = generate_workload(small_network, count=8, seed=67)
-        serial = QueryEngine(pi_scheme).run_batch(pairs, workers=1, pipeline=False)
-        combined = QueryEngine(pi_scheme, shards=shards).run_batch(
-            pairs, workers=workers, worker_mode=worker_mode
-        )
+        serial = QueryEngine(pi_scheme).run_batch(pairs, workers=1)
+        combined = QueryEngine(pi_scheme, shards=shards).run_batch(pairs, workers=workers)
         _assert_identical_batches(serial, combined)
 
-    def test_hybrid_process_mode_matches_serial(self, hybrid_scheme, small_network):
-        # HY exercises both remote solve branches (region sets and subgraphs)
+    def test_hybrid_threads_match_serial(self, hybrid_scheme, small_network):
+        # HY exercises both solve branches (region sets and subgraphs)
         pairs = generate_workload(small_network, count=10, seed=71)
-        serial = QueryEngine(hybrid_scheme).run_batch(pairs, workers=1, pipeline=False)
-        combined = QueryEngine(hybrid_scheme, shards=2).run_batch(
-            pairs, workers=2, worker_mode="process"
-        )
+        serial = QueryEngine(hybrid_scheme).run_batch(pairs, workers=1)
+        combined = QueryEngine(hybrid_scheme, shards=2).run_batch(pairs, workers=2)
         _assert_identical_batches(serial, combined)
 
     def test_range_sharding_matches_serial(self, ci_scheme, small_network):
         pairs = generate_workload(small_network, count=6, seed=73)
-        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1, pipeline=False)
+        serial = QueryEngine(ci_scheme).run_batch(pairs, workers=1)
         ranged = QueryEngine(ci_scheme, shards=3, shard_strategy="range").run_batch(
             pairs, workers=2
         )

@@ -191,7 +191,7 @@ class TestSimulatorParity:
 
 class TestEndToEndEquivalence:
     """run_batch with the kernel on is bit-identical to the kernel off, for
-    every (kernel, shards, workers, worker mode, store backend) combination."""
+    every (kernel, shards, workers, store backend) combination."""
 
     @pytest.fixture(scope="class")
     def baseline(self, ci_scheme, pairs):
@@ -199,21 +199,14 @@ class TestEndToEndEquivalence:
         return batch_fingerprint(engine.run_batch(pairs, verify_costs=True))
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("shards,workers,worker_mode", [
-        (1, 1, "thread"),
-        (2, 2, "thread"),
-        (3, 1, "thread"),
-        (1, 2, "process"),
-    ])
+    @pytest.mark.parametrize("shards,workers", [(1, 1), (2, 2), (3, 1), (1, 3)])
     def test_kernel_on_bit_identical_to_kernel_off(
-        self, ci_scheme, pairs, baseline, kernel, shards, workers, worker_mode
+        self, ci_scheme, pairs, baseline, kernel, shards, workers
     ):
         engine = QueryEngine(
             ci_scheme, cache_entries=64, shards=shards, pir_kernel=kernel
         )
-        batch = engine.run_batch(
-            pairs, verify_costs=True, workers=workers, worker_mode=worker_mode
-        )
+        batch = engine.run_batch(pairs, verify_costs=True, workers=workers)
         assert batch.pir_kernel == kernel
         assert batch.all_costs_correct
         assert batch.indistinguishable

@@ -1,7 +1,7 @@
 """Property: serving PIR over TCP changes nothing observable (invariant I2).
 
 The remote simulator must be a *pure transport change*: for every server
-kernel, shard count, worker count and worker mode, query results, traces,
+kernel, shard count and worker count, query results, traces,
 adversary-view logs and the simulators' ``queries_seen`` streams are
 bit-identical to in-process serving.  The shard servers here are real
 asyncio servers on loopback, so this is the same code path a deployment
@@ -104,21 +104,15 @@ class TestEngineRemoteEquivalence:
         return batch_fingerprint(engine.run_batch(pairs, verify_costs=True))
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("num_shards,workers,worker_mode", [
-        (1, 1, "thread"),
-        (2, 2, "thread"),
-        (3, 2, "process"),
-    ])
+    @pytest.mark.parametrize("num_shards,workers", [(1, 1), (2, 2), (3, 3)])
     def test_remote_batches_are_bit_identical(
-        self, ci_scheme, pairs, baseline, kernel, num_shards, workers, worker_mode
+        self, ci_scheme, pairs, baseline, kernel, num_shards, workers
     ):
         with ShardCluster(
             ci_scheme.database, num_shards=num_shards, kernel=kernel
         ) as cluster:
             with QueryEngine(ci_scheme, cache_entries=64, serving=cluster) as engine:
-                batch = engine.run_batch(
-                    pairs, verify_costs=True, workers=workers, worker_mode=worker_mode
-                )
+                batch = engine.run_batch(pairs, verify_costs=True, workers=workers)
         assert batch.remote
         assert batch.shards == num_shards
         assert batch.all_costs_correct

@@ -107,14 +107,9 @@ class TestEndToEndEquivalence:
         return batch_fingerprint(engine.run_batch(pairs, verify_costs=True))
 
     @pytest.mark.parametrize("backend", DISK_BACKENDS)
-    @pytest.mark.parametrize("shards,workers,worker_mode", [
-        (1, 1, "thread"),
-        (2, 2, "thread"),
-        (3, 1, "thread"),
-        (1, 2, "process"),
-    ])
+    @pytest.mark.parametrize("shards,workers", [(1, 1), (2, 2), (3, 1), (1, 3)])
     def test_all_engine_configurations_bit_identical(
-        self, ci_scheme, pairs, baseline, backend, shards, workers, worker_mode, tmp_path
+        self, ci_scheme, pairs, baseline, backend, shards, workers, tmp_path
     ):
         engine = QueryEngine(
             ci_scheme,
@@ -123,9 +118,7 @@ class TestEndToEndEquivalence:
             store_backend=backend,
             store_dir=tmp_path,
         )
-        batch = engine.run_batch(
-            pairs, verify_costs=True, workers=workers, worker_mode=worker_mode
-        )
+        batch = engine.run_batch(pairs, verify_costs=True, workers=workers)
         assert batch.store_backend == backend
         assert batch.all_costs_correct
         assert batch.indistinguishable

@@ -7,6 +7,8 @@ Round trips are property-tested with hypothesis; the hostile-input cases are
 hand-written.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +104,45 @@ class TestRequestRoundTrips:
         payload = wire.encode_hello_request() + b"\x00"
         with pytest.raises(WireError):
             wire.decode_request(payload)
+
+
+def _answer_frame(name: bytes, count: int) -> bytes:
+    """A hand-built ANSWER payload: ``count`` empty masks over file ``name``.
+
+    Built with ``struct`` rather than the encoder, so the decode-side caps
+    are the only check between the bytes and the decoded request.
+    """
+    return (
+        struct.pack(">BH", wire.OP_ANSWER, len(name))
+        + name
+        + struct.pack(">I", count)
+        + struct.pack(">I", 0) * count
+    )
+
+
+class TestDecodeCaps:
+    """The decoder's own caps, at the cap and one past it."""
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at_cap", "cap_plus_1"])
+    def test_mask_count_cap(self, over):
+        count = wire.MAX_MASKS_PER_REQUEST + over
+        payload = _answer_frame(b"f", count)
+        if over:
+            with pytest.raises(WireError):
+                wire.decode_request(payload)
+        else:
+            request = wire.decode_request(payload)
+            assert request.masks == (0,) * count
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at_cap", "cap_plus_1"])
+    def test_name_length_cap(self, over):
+        name = b"n" * (wire.MAX_NAME_BYTES + over)
+        payload = _answer_frame(name, 1)
+        if over:
+            with pytest.raises(WireError):
+                wire.decode_request(payload)
+        else:
+            assert wire.decode_request(payload).file_name == name.decode()
 
 
 class TestResponseRoundTrips:

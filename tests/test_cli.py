@@ -171,7 +171,7 @@ class TestBatchCommand:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "workers         : 2 (pipelined)" in output
+        assert "workers         : 2\n" in output
         assert "costs correct   : True" in output
 
     def test_batch_rejects_invalid_workers(self, tmp_path, capsys):
@@ -191,7 +191,7 @@ class TestBatchCommand:
         assert code == 2
         assert "--workers must be positive" in capsys.readouterr().err
 
-    def test_batch_with_shards_and_process_workers(self, tmp_path, capsys):
+    def test_batch_with_shards_and_thread_workers(self, tmp_path, capsys):
         network_file = tmp_path / "net.txt"
         main(["generate", "--nodes", "70", "--seed", "2", "--output", str(network_file)])
         code = main(
@@ -207,16 +207,18 @@ class TestBatchCommand:
                 "4",
                 "--workers",
                 "2",
-                "--worker-mode",
-                "process",
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "worker mode     : process" in output
+        assert "workers         : 2\n" in output
         assert "pir shards      : 4" in output
         assert "costs correct   : True" in output
         assert "indistinguishable: True" in output
+        # the engine has one worker kind: the old mode flags are unknown
+        for removed in (["--worker-mode", "process"], ["--no-pipeline"]):
+            with pytest.raises(SystemExit):
+                main(["batch", "--network", str(network_file), *removed])
 
     def test_batch_cache_entries_zero_disables_caching(self, tmp_path, capsys):
         network_file = tmp_path / "net.txt"
