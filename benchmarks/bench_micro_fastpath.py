@@ -28,12 +28,13 @@ from operator import itemgetter
 from pathlib import Path
 
 import repro.schemes.assembly as assembly
+import repro.schemes.ci as ci_module
+import repro.schemes.pi as pi_module
 from repro.costmodel import SystemSpec
 from repro.engine import QueryEngine
 from repro.bench.workloads import generate_hotspot_workload, generate_workload
 from repro.network import (
     all_pairs_sample_costs,
-    csr_for,
     random_planar_network,
     reference_dijkstra_tree,
     reference_shortest_path,
@@ -189,7 +190,8 @@ def run_pir_microbench(num_blocks=96, block_bytes=512, num_retrievals=60, seed=1
 
 # ---------------------------------------------------------------------- #
 # PR 1 client path: per-query index-entry decode, dict-merge assembly and a
-# per-query CSR compile (the query pipeline before it became CSR-native)
+# per-query CSR compile (the query pipeline before it became CSR-native and
+# then searched the fetched region columns in place)
 # ---------------------------------------------------------------------- #
 def _pr1_decode_index_entry(pages, key):
     """PR 1 decoded every fetched index page on every query (no page cache)."""
@@ -218,41 +220,48 @@ def _pr1_decode_index_entry(pages, key):
     return None
 
 
-def _pr1_region_csr(payload_groups):
-    return csr_for(assembly.reference_region_graph(payload_groups))
+def _oracles():
+    """The reference implementations kept under ``tests/oracles``."""
+    oracles = str(Path(__file__).resolve().parents[1] / "tests" / "oracles")
+    if oracles not in sys.path:
+        sys.path.append(oracles)
+    import region_rows_reference
+
+    return region_rows_reference
 
 
-def _pr1_passage_csr(payload_groups, index_pages, pair, entry=None):
+def _pr1_passage_graph(payload_groups, index_pages, pair, entry=None):
     if entry is None:
         entry = _pr1_decode_index_entry(index_pages, pair)
-    return csr_for(
-        assembly.reference_passage_graph(payload_groups, index_pages, pair, entry)
-    )
+    return _oracles().reference_passage_graph(payload_groups, index_pages, pair, entry)
 
 
 @contextmanager
 def _pr1_client_path():
-    """Route scheme queries through the dict-merge reference assembly."""
+    """Route scheme queries through the dict-merge reference assembly and a
+    search that compiles the merged ``RoadNetwork`` per query."""
     saved = (assembly.assemble_region_csr, assembly.assemble_passage_csr)
-    assembly.assemble_region_csr = _pr1_region_csr
-    assembly.assemble_passage_csr = _pr1_passage_csr
+    assembly.assemble_region_csr = _oracles().reference_region_graph
+    assembly.assemble_passage_csr = _pr1_passage_graph
+    ci_module.csr_shortest_path = pi_module.csr_shortest_path = shortest_path
     try:
         yield
     finally:
         assembly.assemble_region_csr, assembly.assemble_passage_csr = saved
+        ci_module.csr_shortest_path = pi_module.csr_shortest_path = assembly.csr_shortest_path
 
 
 def run_scheme_query_microbench(num_nodes=1000, num_queries=80, seed=13):
-    """End-to-end batched CI/PI queries: CSR-native pipeline vs. the PR 1 path.
+    """End-to-end batched CI/PI queries: in-place client pipeline vs. dict-merge.
 
     Both sides execute full engine batches (every PIR round, plan checks and
     all) over a hotspot workload — serving batches concentrate on popular
     source/destination pairs, which is exactly what the engine's decode cache
-    exists for.  Only the client-side pipeline differs: direct CSR interning
-    with page-level entry decoding and the assembled-subgraph cache, versus
-    the PR 1 path (per-query index-entry decode, dict-based ``RoadNetwork``
-    merge, per-query CSR compile).  PR 1's header/region decode caching is
-    active on both sides.
+    exists for.  Only the client-side pipeline differs: the fetched region
+    columns searched in place with page-level entry decoding, versus the
+    first batched client path (per-query index-entry decode, dict-based
+    ``RoadNetwork`` merge, per-query CSR compile).  Its header/region decode
+    caching is active on both sides.
     """
     network = random_planar_network(num_nodes, seed=seed)
     spec = SystemSpec(page_size=1024)
@@ -278,7 +287,7 @@ def run_scheme_query_microbench(num_nodes=1000, num_queries=80, seed=13):
         reference_s, reference_batch = _time(run_reference)
         for fast, reference in zip(fast_batch.results, reference_batch.results):
             assert fast.path.nodes == reference.path.nodes, \
-                "CSR-native pipeline disagrees with the PR 1 client path"
+                "in-place client pipeline disagrees with the dict-merge client path"
             assert abs(fast.path.cost - reference.path.cost) <= 1e-9 * max(
                 1.0, abs(reference.path.cost)
             )
@@ -664,23 +673,28 @@ def run_cold_client_microbench(num_nodes=600, num_queries=100, seed=1, page_size
     For each query of a CI workload on the ``ci_cold_solve`` network, the
     client decodes the downloaded header, routes source and target through
     its split table, decodes every fetched region payload and takes the
-    plan's expected adversary view.  The fast side is the flat-struct
-    decoders, the split-table walk and the memoised plan view; the reference
-    side is the field-by-field oracle of ``tests/oracles`` (split tree
-    rebuilt per query) and a view rebuilt per query.  Both start from the
-    same bytes and must return the same objects.
+    plan's expected adversary view.  The fast side is the flat-struct header
+    decoder, the split-table walk, the columnar region decoder on the
+    fetched pages and the memoised plan view; the reference side is the
+    field-by-field oracle of ``tests/oracles`` (split tree rebuilt per
+    query) reading the same regions written in the row format, and a view
+    rebuilt per query.  Both must return the same header, routes, nodes and
+    view.
     """
-    oracles = str(Path(__file__).resolve().parents[1] / "tests" / "oracles")
-    if oracles not in sys.path:
-        sys.path.append(oracles)
+    _oracles()
     import client_decode_reference
+    from region_rows_reference import encode_region_rows, rows_of
 
     network = random_planar_network(num_nodes, seed=seed)
     scheme = ConciseIndexScheme.build(network, SystemSpec(page_size=page_size))
     database = scheme.database
     header_bytes = database.header
     header = HeaderInfo.decode(header_bytes)
-    queries = []
+    row_bytes = {
+        region.region_id: encode_region_rows(network, region.node_ids)
+        for region in scheme.partitioning.regions()
+    }
+    fast_queries, reference_queries = [], []
     for source, target in generate_workload(network, num_queries, seed=seed):
         points = [(network.node(node).x, network.node(node).y) for node in (source, target)]
         pair = tuple(header.region_of_point(x, y) for x, y in points)
@@ -693,9 +707,14 @@ def run_cold_client_microbench(num_nodes=600, num_queries=100, seed=1, page_size
         data_pages = database.file(DATA_FILE).read_pages_batch(
             header.data_pages_for_regions(regions)
         )
-        queries.append((points, header.region_payloads(data_pages)))
+        fast_queries.append((points, header.region_payloads(data_pages)))
+        # the same regions in the row format, padded to their pages
+        region_bytes = page_size * header.data_pages_per_region
+        reference_queries.append(
+            (points, [[row_bytes[r].ljust(region_bytes, b"\0")] for r in regions])
+        )
 
-    def client(decode_header, route, decode_payload, plan_view):
+    def client(queries, decode_header, route, decode_payload, plan_view):
         out = []
         for points, payloads in queries:
             decoded = decode_header(header_bytes)
@@ -710,6 +729,7 @@ def run_cold_client_microbench(num_nodes=600, num_queries=100, seed=1, page_size
 
     def run_fast():
         return client(
+            fast_queries,
             HeaderInfo.decode,
             HeaderInfo.region_of_point,
             decode_region_payload,
@@ -718,14 +738,23 @@ def run_cold_client_microbench(num_nodes=600, num_queries=100, seed=1, page_size
 
     def run_reference():
         return client(
+            reference_queries,
             client_decode_reference.decode_header,
             client_decode_reference.region_of_point,
             client_decode_reference.decode_region_payload,
             QueryPlan._build_adversary_view,
         )
 
-    assert run_fast() == run_reference(), \
-        "fast client decoders disagree with the reference decoders"
+    fast_header, fast_out = run_fast()
+    reference_header, reference_out = run_reference()
+    assert fast_header == reference_header, "fast header decoder disagrees with the reference"
+    for (routes, columns, view), (reference_routes, rows, reference_view) in zip(
+        fast_out, reference_out
+    ):
+        assert routes == reference_routes and view == reference_view, \
+            "fast client routing or plan view disagrees with the reference"
+        assert [rows_of(region) for region in columns] == rows, \
+            "columnar region decode disagrees with the row-format reference"
     # alternate the two sides so a slow phase of a shared host hits both
     fast_s = reference_s = float("inf")
     for _ in range(9):

@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker contexts to shard the batch across (results are identical "
-        "to serial execution)",
+        help="worker threads to shard the batch across (results are identical "
+        "to serial execution; pays on PI, loses on CI, whose solve is GIL-bound)",
     )
     batch.add_argument(
         "--shards",

@@ -21,8 +21,8 @@ still runs the full multi-round PIR protocol and is checked against the plan
   :class:`~repro.pir.sharded.ShardedPirSimulator`), the storage layout a
   scaled deployment serves from;
 * each worker's LRU cache (see :class:`~repro.engine.cache.LruCache`) shares
-  the decoded header, decoded region payloads and *assembled subgraph CSRs*
-  across the queries of its shard (``cache_entries=0`` disables caching for
+  the decoded header, index pages and region columns across the queries of
+  its shard (``cache_entries=0`` disables caching for
   measurement runs via :class:`~repro.engine.cache.NullCache`);
 * result verification runs through the array-backed search core
   (:mod:`repro.network.indexed`), grouping the batch by source so each
@@ -49,6 +49,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError
@@ -62,7 +63,7 @@ from ..pir import (
     resolve_kernel,
 )
 from ..schemes import files as scheme_files
-from ..schemes.base import PreparedQuery, QueryResult, Scheme, client_state_scope
+from ..schemes.base import QueryResult, Scheme, client_state_scope
 from ..storage import clone_database
 from .cache import LruCache, NullCache
 
@@ -312,8 +313,7 @@ class QueryEngine:
             )
         workers = min(workers, len(pairs))
         contexts = self._contexts_for(workers)
-        hits_before = sum(context.cache.hits for context in contexts)
-        misses_before = sum(context.cache.misses for context in contexts)
+        hits_before, misses_before = _cache_counts(contexts)
 
         started = time.perf_counter()
         indexed: List[_IndexedPair] = list(enumerate(pairs))
@@ -339,6 +339,7 @@ class QueryEngine:
         first_view = next(views)
         indistinguishable = all(view == first_view for view in views)
 
+        hits, misses = _cache_counts(contexts)
         true_costs: Optional[Dict[QueryPair, float]] = None
         all_costs_correct = True
         if verify_costs:
@@ -357,8 +358,8 @@ class QueryEngine:
             true_costs=true_costs,
             all_costs_correct=all_costs_correct,
             indistinguishable=indistinguishable,
-            cache_hits=sum(context.cache.hits for context in contexts) - hits_before,
-            cache_misses=sum(context.cache.misses for context in contexts) - misses_before,
+            cache_hits=hits - hits_before,
+            cache_misses=misses - misses_before,
             wall_seconds=wall_seconds,
             workers=workers,
             shards=self.shards,
@@ -417,20 +418,24 @@ class QueryEngine:
         self, context: _WorkerContext, shard: List[_IndexedPair]
     ) -> List[Tuple[int, QueryResult]]:
         """Execute one shard in order; returns ``(batch_index, result)`` pairs."""
-        return [
-            (item[0], self._solve(context, self._prepare(context, item)))
-            for item in shard
-        ]
-
-    def _prepare(self, context: _WorkerContext, item: _IndexedPair) -> PreparedQuery:
-        index, (source, target) = item
-        # a per-query RNG keyed by the batch position keeps dummy retrievals
-        # deterministic and identical for every worker count
-        rng = random.Random(hash((self.scheme.dummy_seed, index)))
+        scheme = self.scheme
+        results = []
         with scheme_files.decode_cache_scope(context.cache):
-            with client_state_scope(context.pir, rng):
-                return self.scheme.prepare_query(source, target)
+            for index, (source, target) in shard:
+                # a per-query RNG keyed by the batch position keeps dummy
+                # retrievals deterministic and identical for every worker
+                # count; it is seeded only when the first dummy is drawn
+                rng = partial(random.Random, hash((scheme.dummy_seed, index)))
+                with client_state_scope(context.pir, rng):
+                    prepared = scheme.prepare_query(source, target)
+                results.append((index, prepared.solve()))
+        return results
 
-    def _solve(self, context: _WorkerContext, prepared: PreparedQuery) -> QueryResult:
-        with scheme_files.decode_cache_scope(context.cache):
-            return prepared.solve()
+
+def _cache_counts(contexts: Sequence[_WorkerContext]) -> Tuple[int, int]:
+    """Decode-cache hits and misses summed over ``contexts``."""
+    hits = misses = 0
+    for context in contexts:
+        hits += context.cache.hits
+        misses += context.cache.misses
+    return hits, misses

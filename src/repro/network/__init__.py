@@ -20,7 +20,7 @@ from .generators import (
     stream_cluster_network,
     stream_grid_network,
 )
-from .indexed import CsrBuilder, CsrGraph, build_csr, csr_for, csr_shortest_path
+from .indexed import CsrGraph, QueryGraph, build_csr, csr_for, csr_shortest_path
 from .graph import Edge, Node, NodeId, RoadNetwork
 from .io import (
     DIMACS_SCALE,
@@ -35,7 +35,6 @@ from .io import (
 from .paths import Path, SearchStats, validate_path
 
 __all__ = [
-    "CsrBuilder",
     "CsrGraph",
     "DIMACS_SCALE",
     "Edge",
@@ -43,6 +42,7 @@ __all__ = [
     "NodeId",
     "NodeRecord",
     "Path",
+    "QueryGraph",
     "RoadNetwork",
     "SearchStats",
     "ShortestPathTree",

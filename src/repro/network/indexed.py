@@ -10,7 +10,9 @@ tuple churn of the reference implementations.
 
 The module-level search routines here operate purely on dense ids and return
 raw arrays/lists; the compatibility wrappers translate back to the public
-``ShortestPathTree``/``Path`` vocabulary.
+``ShortestPathTree``/``Path`` vocabulary.  A querying client's graph is not
+compiled at all: :class:`QueryGraph` holds the columns of the fetched region
+records and :func:`csr_shortest_path` searches them in place.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphError, NoPathError
 from .graph import NodeId, RoadNetwork
@@ -27,8 +29,7 @@ from .paths import Path, SearchStats
 _INF = math.inf
 
 #: Below this many nodes the pure-Python core beats the SciPy call overhead
-#: (per-query scheme subgraphs are far smaller than this; the full road
-#: networks of the benchmarks are far larger).
+#: (the full road networks of the benchmarks are far larger).
 SCIPY_MIN_NODES = 256
 
 
@@ -229,209 +230,112 @@ class CsrGraph:
         return f"CsrGraph(nodes={self.num_nodes}, edges={self.num_edges})"
 
 
-class CsrBuilder:
-    """Builds a :class:`CsrGraph` directly from client-retrieved network data.
+class QueryGraph:
+    """A client's search graph: the fetched region columns, searched in place.
 
-    The querying client assembles its search graph from (i) decoded region
-    payloads — ``{node_id: (x, y, [(neighbor, weight), ...])}`` mappings, the
-    output of :func:`repro.partition.decode_region_payload` — and (ii), for
-    the PI-family schemes, the weighted edges of a passage-subgraph index
-    entry.  This builder interns node ids and appends edges straight into the
-    flat CSR arrays, skipping the dict-based :class:`RoadNetwork`
-    intermediate entirely.
-
-    The assembly semantics are exactly those of the dict-merge reference path
-    (:func:`repro.partition.merge_region_payloads` followed by
-    ``subgraph_from_entry``), so searches over the built graph return
-    identical paths:
-
-    * a node appearing in several payloads keeps its first-seen position in
-      the dense-id order but takes the coordinates and adjacency of the
-      *last* payload that carried it;
-    * payload adjacency edges whose head lies outside the union of the
-      payloads are dropped;
-    * passage edges are appended after all payload edges, skipping ``(u, v)``
-      pairs for which any edge already exists; endpoints absent from every
-      payload are interned at placeholder coordinates ``(0, 0)`` and mark the
-      built graph ``heuristic_safe=False``.
+    Dense node ``u`` is ``node_ids[u]``.  Its payload out-edges are entries
+    ``offsets[u]:offsets[u + 1]`` of ``neighbours``/``weights``; they hold
+    *original* ids, which the search resolves through ``payload_index`` as
+    it relaxes each edge, skipping ids outside the fetched regions.
+    ``extra`` maps a dense node to its passage edges ``[(dense target,
+    weight), ...]``, relaxed after its payload edges.  Nodes after the
+    payload nodes are passage-only placeholders: they have no payload edges
+    and sit at ``(0, 0)``, so geometric A* heuristics would be inadmissible
+    and ``heuristic_safe`` is False.
     """
 
-    __slots__ = ("_payload_nodes", "_extra_nodes", "_extra_adjacency", "heuristic_safe")
+    __slots__ = (
+        "node_ids",
+        "offsets",
+        "neighbours",
+        "weights",
+        "xy",
+        "payload_index",
+        "index_of",
+        "extra",
+        "heuristic_safe",
+    )
 
-    def __init__(self) -> None:
-        self._payload_nodes: dict = {}
-        self._extra_nodes: List[NodeId] = []
-        self._extra_adjacency: dict = {}
-        self.heuristic_safe = True
+    def __init__(
+        self,
+        node_ids: Sequence[NodeId],
+        offsets: Sequence[int],
+        neighbours: Sequence[NodeId],
+        weights: Sequence[float],
+        xy: Sequence[float],
+        payload_index: Dict[NodeId, int],
+        index_of: Optional[Dict[NodeId, int]] = None,
+        extra: Optional[Dict[int, List[Tuple[int, float]]]] = None,
+    ) -> None:
+        self.node_ids = node_ids
+        self.offsets = offsets
+        self.neighbours = neighbours
+        self.weights = weights
+        self.xy = xy
+        self.payload_index = payload_index
+        self.index_of = payload_index if index_of is None else index_of
+        self.extra = {} if extra is None else extra
+        self.heuristic_safe = len(self.index_of) == len(payload_index)
 
-    def add_payload(self, payload) -> "CsrBuilder":
-        """Merge one decoded region payload (``{node: (x, y, adjacency)}``).
+    def __contains__(self, node_id: NodeId) -> bool:
+        return node_id in self.index_of
 
-        The payload mapping and its value tuples are only read, never
-        mutated, so cached decode results can be shared between builders.
-        """
-        self._payload_nodes.update(payload)
-        return self
-
-    def add_edges(self, edges) -> "CsrBuilder":
-        """Append passage-subgraph edges ``(u, v, weight)``.
-
-        Must be called after every payload has been added (edge filtering and
-        duplicate detection are defined against the payload node set, exactly
-        like the reference path, which builds the merged graph first).
-        """
-        payload_nodes = self._payload_nodes
-        extra_adjacency = self._extra_adjacency
-        for u, v, weight in edges:
-            for endpoint in (u, v):
-                if endpoint not in payload_nodes and endpoint not in extra_adjacency:
-                    self._extra_nodes.append(endpoint)
-                    extra_adjacency[endpoint] = []
-                    self.heuristic_safe = False
-            if not self._has_edge(u, v):
-                extra_adjacency.setdefault(u, []).append((v, float(weight)))
-        return self
-
-    def _has_edge(self, u: NodeId, v: NodeId) -> bool:
-        payload_nodes = self._payload_nodes
-        info = payload_nodes.get(u)
-        if info is not None:
-            for neighbor, _ in info[2]:
-                if neighbor == v and neighbor in payload_nodes:
-                    return True
-        for neighbor, _ in self._extra_adjacency.get(u, ()):
-            if neighbor == v:
-                return True
-        return False
-
-    def build(self) -> CsrGraph:
-        """Compile the accumulated data into a :class:`CsrGraph`."""
-        payload_nodes = self._payload_nodes
-        extra_adjacency = self._extra_adjacency
-        node_ids: List[NodeId] = list(payload_nodes)
-        node_ids.extend(self._extra_nodes)
-        index_of = {node_id: dense for dense, node_id in enumerate(node_ids)}
-        # accumulate in plain lists and convert in bulk: the C-level array
-        # constructor beats per-element array.append on the hot path
-        offset_list: List[int] = [0]
-        target_list: List[int] = []
-        weight_list: List[float] = []
-        x_list: List[float] = []
-        y_list: List[float] = []
-        for node_id in node_ids:
-            info = payload_nodes.get(node_id)
-            if info is not None:
-                x, y, adjacency = info
-                x_list.append(x)
-                y_list.append(y)
-                for neighbor, weight in adjacency:
-                    if neighbor in payload_nodes:
-                        target_list.append(index_of[neighbor])
-                        weight_list.append(weight)
-            else:
-                x_list.append(0.0)
-                y_list.append(0.0)
-            for neighbor, weight in extra_adjacency.get(node_id, ()):
-                target_list.append(index_of[neighbor])
-                weight_list.append(weight)
-            offset_list.append(len(target_list))
-        return CsrGraph(
-            node_ids,
-            array("q", offset_list),
-            array("q", target_list),
-            array("d", weight_list),
-            array("d", x_list),
-            array("d", y_list),
-            index_of,
-            heuristic_safe=self.heuristic_safe,
-        )
+    def dense_id(self, node_id: NodeId) -> int:
+        """Map an original node id to its dense id; unknown ids are an error."""
+        try:
+            return self.index_of[node_id]
+        except KeyError:
+            raise GraphError(f"unknown node {node_id}") from None
 
 
-def _flat_point_to_point(
-    csr: CsrGraph,
-    source: int,
-    target: int,
-    stats: Optional[SearchStats] = None,
-) -> Tuple[List[float], List[int]]:
-    """Early-terminating Dijkstra straight over the flat CSR arrays.
+def csr_shortest_path(graph: QueryGraph, source: NodeId, target: NodeId) -> Path:
+    """Point-to-point shortest path over a client's :class:`QueryGraph`.
 
-    Identical relaxation order (and therefore identical tie-breaking and
-    parents along the returned path) to ``dijkstra_arrays`` with a
-    single-target set, but without materialising the boxed per-node adjacency
-    tuples — for one-shot searches over freshly assembled query subgraphs the
-    materialisation costs more than the search itself.
+    Early-terminating Dijkstra over the graph's columns: dense ids break
+    heap ties and edges relax in payload-then-passage order, so the path is
+    the one a search over the same graph compiled to a :class:`CsrGraph`
+    returns.  Raises :class:`~repro.exceptions.NoPathError` when the target
+    is unreachable and :class:`~repro.exceptions.GraphError` on unknown ids.
     """
-    offsets, targets, weights = csr.offsets, csr.targets, csr.weights
-    n = len(csr.node_ids)
+    dense_source = graph.dense_id(source)
+    dense_target = graph.dense_id(target)
+    if source == target:
+        return Path((source,), 0.0)
+    offsets, neighbours, weights = graph.offsets, graph.neighbours, graph.weights
+    resolve = graph.payload_index.get
+    extra = graph.extra
+    n = len(graph.node_ids)
     dist = [_INF] * n
     parent = [-1] * n
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    dist[dense_source] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, dense_source)]
     push, pop = heapq.heappush, heapq.heappop
-    track = stats is not None
-    node_ids = csr.node_ids
 
     while heap:
         d, u = pop(heap)
         if d > dist[u]:  # stale heap entry; u already settled cheaper
             continue
-        if track:
-            stats.settled_nodes += 1
-            stats.visited_nodes.append(node_ids[u])
-        if u == target:
+        if u == dense_target:
             break
         for k in range(offsets[u], offsets[u + 1]):
-            v = targets[k]
-            nd = d + weights[k]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-                if track:
-                    stats.relaxed_edges += 1
-    return dist, parent
+            v = resolve(neighbours[k])
+            if v is not None:
+                nd = d + weights[k]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    push(heap, (nd, v))
+        if extra and u in extra:
+            for v, w in extra[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    push(heap, (nd, v))
 
-
-def csr_shortest_path(
-    csr: CsrGraph,
-    source: NodeId,
-    target: NodeId,
-    stats: Optional[SearchStats] = None,
-) -> Path:
-    """Point-to-point shortest path over an already-built :class:`CsrGraph`.
-
-    The CSR-native twin of :func:`repro.network.dijkstra.shortest_path`:
-    identical core selection (SciPy's C implementation for large stat-less
-    searches, the pure-Python early-terminating core otherwise), identical
-    tie-breaking, and a :class:`~repro.network.paths.Path` of *original* node
-    ids.  Raises :class:`~repro.exceptions.NoPathError` when the target is
-    unreachable and :class:`~repro.exceptions.GraphError` on unknown ids.
-    """
-    if source == target:
-        csr.dense_id(source)  # validates the id exists
-        return Path((source,), 0.0)
-    dense_source = csr.dense_id(source)
-    dense_target = csr.dense_id(target)
-    node_ids = csr.node_ids
-
-    if stats is None and csr.num_nodes >= SCIPY_MIN_NODES:
-        arrays = scipy_dijkstra_arrays(csr, dense_source)
-        if arrays is not None:
-            dist, predecessors = arrays
-            cost = dist[dense_target]
-            if cost == _INF:
-                raise NoPathError(source, target)
-            dense_nodes = [dense_target]
-            current = dense_target
-            while current != dense_source:
-                current = int(predecessors[current])
-                dense_nodes.append(current)
-            dense_nodes.reverse()
-            return Path(tuple(node_ids[dense] for dense in dense_nodes), float(cost))
-
-    dist, parent = _flat_point_to_point(csr, dense_source, dense_target, stats)
     if dist[dense_target] == _INF:
         raise NoPathError(source, target)
+    node_ids = graph.node_ids
     dense_nodes = [dense_target]
     current = dense_target
     while current != dense_source:

@@ -11,10 +11,9 @@ from .compact import (
 from .kdtree import plain_kdtree_partition
 from .packed import packed_kdtree_partition
 from .regiondata import (
+    RegionColumns,
     decode_region_payload,
-    encode_node_record,
     encode_region_payload,
-    merge_region_payloads,
     node_record_size,
 )
 from .regions import LeafNode, Partitioning, Region, RegionId, SplitNode
@@ -25,6 +24,7 @@ __all__ = [
     "LeafNode",
     "Partitioning",
     "Region",
+    "RegionColumns",
     "RegionCompressionReport",
     "RegionId",
     "SplitNode",
@@ -33,9 +33,7 @@ __all__ = [
     "decode_region_payload",
     "decode_region_payload_compact",
     "encode_region_payload_compact",
-    "encode_node_record",
     "encode_region_payload",
-    "merge_region_payloads",
     "node_record_size",
     "packed_kdtree_partition",
     "plain_kdtree_partition",

@@ -1,9 +1,10 @@
 """Compact (compressed) region-payload codec — future-work ablation.
 
-The standard region-data records (:mod:`repro.partition.regiondata`) store one
-node as ``uint32 id, float32 x, float32 y, varint degree, (uint32 neighbour,
-float32 weight)*``.  This module provides an alternative codec exploiting the
-structure of road-network data, as suggested by the paper's conclusion:
+The standard region-data records (:mod:`repro.partition.regiondata`) spend on
+one node ``uint32 id, float32 x, float32 y, varint degree, (uint32 neighbour,
+float32 weight)*``, stored column by column.  This module provides an
+alternative codec exploiting the structure of road-network data, as suggested
+by the paper's conclusion:
 
 * node and neighbour identifiers are delta + zig-zag + varint encoded — the
   KD-tree assigns spatially clustered identifiers, so deltas are small;
@@ -110,9 +111,9 @@ def decode_region_payload_compact(
 ) -> Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]]:
     """Inverse of :func:`encode_region_payload_compact`.
 
-    Returns the same ``{node_id: (x, y, adjacency)}`` mapping as
-    :func:`repro.partition.regiondata.decode_region_payload`, up to the
-    quantisation error of coordinates and weights.
+    Returns the same ``{node_id: (x, y, adjacency)}`` mapping as the row
+    view of :func:`repro.partition.regiondata.decode_region_payload`, up to
+    the quantisation error of coordinates and weights.
     """
     import struct
 

@@ -2,102 +2,111 @@
 
 The information kept for a node (Section 5.1) is its identifier, its Euclidean
 coordinates and its adjacency list (adjacent node identifiers and the weights
-of the corresponding edges).  Both the partitioners (which must know record
-sizes to pack pages) and the ``Fd`` file builders (which write the records)
-use the functions in this module, so sizes are consistent by construction.
+of the corresponding edges).  A region's payload stores its nodes column by
+column::
+
+    varint n, ids[n] u32, xy[2n] f32, degree varint per node,
+    neighbours[m] u32, weights[m] f32          (m = sum of the degrees)
+
+so a client decodes a region with a few bounds-checked ``unpack_from`` calls
+and searches the columns in place (:mod:`repro.schemes.assembly`).  A node
+costs exactly the bytes of an ``id, x, y, degree, (neighbour, weight)*`` row,
+so :func:`node_record_size` — which the partitioners pack pages by — is the
+per-node share of a payload.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from ..exceptions import StorageError
 from ..network import NodeId, RoadNetwork
-from ..storage import RecordWriter, decode_varint
-from ..storage.record import PAIR_UINT32_FLOAT32
-
-#: The fixed head of a node record: id, x, y.
-_NODE_HEAD = struct.Struct("<Iff")
-
-
-def encode_node_record(network: RoadNetwork, node_id: NodeId) -> bytes:
-    """Serialize one node: id, coordinates and adjacency list."""
-    node = network.node(node_id)
-    writer = RecordWriter()
-    writer.uint32(node.node_id)
-    writer.float32(node.x)
-    writer.float32(node.y)
-    neighbors = network.neighbors(node_id)
-    writer.varint(len(neighbors))
-    for neighbor, weight in neighbors:
-        writer.uint32(neighbor)
-        writer.float32(weight)
-    return writer.getvalue()
+from ..storage import decode_varint, encode_varint
 
 
 def node_record_size(network: RoadNetwork, node_id: NodeId) -> int:
-    """Exact on-disk size of a node record."""
-    return len(encode_node_record(network, node_id))
+    """Exact on-disk size of a node: id, x, y, its degree varint and its edges."""
+    degree = network.out_degree(node_id)
+    return 12 + len(encode_varint(degree)) + 8 * degree
 
 
 def encode_region_payload(network: RoadNetwork, node_ids) -> bytes:
-    """Serialize the full payload of a region: a count followed by node records."""
+    """Serialize the full payload of a region in columns (see the module doc)."""
     node_ids = list(node_ids)
-    writer = RecordWriter()
-    writer.varint(len(node_ids))
+    xy: List[float] = []
+    degrees = bytearray()
+    neighbours: List[int] = []
+    weights: List[float] = []
     for node_id in node_ids:
-        writer.raw(encode_node_record(network, node_id))
-    return writer.getvalue()
-
-
-def decode_region_payload(data: bytes) -> Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]]:
-    """Parse a region payload back into ``{node_id: (x, y, adjacency)}``.
-
-    Bytes after the last record (page padding) are ignored.  Degrees almost
-    always fit one varint byte, so that byte is read inline and only a
-    continuation byte (>= 0x80) falls back to :func:`decode_varint`.
-    """
-    view = memoryview(data)
-    end = len(view)
-    count, pos = decode_varint(view, 0)
-    unpack_head = _NODE_HEAD.unpack_from
-    unpack_adjacency = PAIR_UINT32_FLOAT32.iter_unpack
-    nodes: Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]] = {}
-    for _ in range(count):
-        if pos + 12 > end:
-            raise StorageError("region payload truncated inside a node record")
-        node_id, x, y = unpack_head(view, pos)
-        pos += 12
-        degree = view[pos] if pos < end else 0x80
-        if degree < 0x80:
-            pos += 1
-        else:
-            degree, pos = decode_varint(view, pos)
-        stop = pos + 8 * degree
-        if stop > end:
-            raise StorageError("region payload truncated inside an adjacency list")
-        nodes[node_id] = (x, y, list(unpack_adjacency(view[pos:stop])))
-        pos = stop
-    return nodes
-
-
-def merge_region_payloads(payloads) -> "RoadNetwork":
-    """Assemble a client-side subgraph from decoded region payloads.
-
-    Edges pointing to nodes outside the retrieved regions are dropped, exactly
-    as happens when the querying client runs Dijkstra on the data it fetched.
-    """
-    from ..network import RoadNetwork  # local import to avoid a cycle at module load
-
-    merged: Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]] = {}
-    for payload in payloads:
-        merged.update(payload)
-    subgraph = RoadNetwork()
-    for node_id, (x, y, _) in merged.items():
-        subgraph.add_node(node_id, x, y)
-    for node_id, (_, _, adjacency) in merged.items():
+        node = network.node(node_id)
+        xy += (node.x, node.y)
+        adjacency = network.neighbors(node_id)
+        degrees += encode_varint(len(adjacency))
         for neighbor, weight in adjacency:
-            if neighbor in merged:
-                subgraph.add_edge(node_id, neighbor, weight)
-    return subgraph
+            neighbours.append(neighbor)
+            weights.append(weight)
+    n, m = len(node_ids), len(neighbours)
+    return b"".join(
+        (
+            encode_varint(n),
+            struct.pack(f"<{n}I{2 * n}f", *node_ids, *xy),
+            degrees,
+            struct.pack(f"<{m}I{m}f", *neighbours, *weights),
+        )
+    )
+
+
+class RegionColumns(NamedTuple):
+    """One decoded region payload, column by column.
+
+    Node ``i`` is ``ids[i]`` at ``(xy[2i], xy[2i + 1])``.  Its out-edges are
+    the ``degrees[i]`` entries of ``neighbours``/``weights`` that follow
+    those of nodes ``0 .. i-1``.
+    """
+
+    ids: Tuple[int, ...]
+    xy: Tuple[float, ...]
+    degrees: Tuple[int, ...]
+    neighbours: Tuple[int, ...]
+    weights: Tuple[float, ...]
+
+
+def decode_region_payload(data: bytes) -> RegionColumns:
+    """Parse a region payload into its columns.
+
+    Bytes after the last column (page padding) are ignored.  The count and
+    the degrees almost always fit one varint byte each, so the count is read
+    inline and the degree column as one slice when it is all ASCII; a
+    continuation byte falls back to :func:`decode_varint`.  A count or a
+    degree sum that runs past the end of the data raises
+    :class:`StorageError` before anything is unpacked.
+    """
+    end = len(data)
+    count = data[0] if end else 0x80
+    if count < 0x80:
+        pos = 1
+    else:
+        count, pos = decode_varint(data, 0)
+    head_end = pos + 12 * count
+    if head_end > end:
+        raise StorageError(f"region payload of {end} bytes cannot hold {count} nodes")
+    ids = struct.unpack_from(f"<{count}I", data, pos)
+    xy = struct.unpack_from(f"<{2 * count}f", data, pos + 4 * count)
+    pos = head_end
+    degree_bytes = data[pos : pos + count]
+    if len(degree_bytes) == count and degree_bytes.isascii():
+        degrees = tuple(degree_bytes)
+        pos += count
+    else:
+        slow: List[int] = []
+        for _ in range(count):
+            degree, pos = decode_varint(data, pos)
+            slow.append(degree)
+        degrees = tuple(slow)
+    edge_count = sum(degrees)
+    if pos + 8 * edge_count > end:
+        raise StorageError("region payload truncated inside its adjacency columns")
+    neighbours = struct.unpack_from(f"<{edge_count}I", data, pos)
+    weights = struct.unpack_from(f"<{edge_count}f", data, pos + 4 * edge_count)
+    return RegionColumns(ids, xy, degrees, neighbours, weights)

@@ -15,11 +15,10 @@ top of the Passage Index machinery:
 ``ε = 0`` keeps results exact while still deduplicating border paths that are
 covered by other border paths of the same region pair.
 
-Query processing is inherited from :class:`PassageIndexScheme` and therefore
-CSR-native (see :mod:`repro.schemes.assembly`): the retrieved pages are
-assembled straight into flat CSR arrays and searched there — the
-approximation affects only which edges the index stores, never the client
-pipeline.
+Query processing is inherited from :class:`PassageIndexScheme` (see
+:mod:`repro.schemes.assembly`): the retrieved region columns are searched in
+place — the approximation affects only which edges the index stores, never
+the client pipeline.
 """
 
 from __future__ import annotations

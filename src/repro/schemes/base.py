@@ -20,8 +20,8 @@ import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import CostModel, DEFAULT_SPEC, ResponseTime, SystemSpec
 from ..exceptions import PlanViolationError
@@ -53,6 +53,11 @@ class QueryResult:
         return self.trace.total_pir_accesses()
 
 
+#: A dummy-retrieval RNG, or a zero-argument factory that builds it when the
+#: first dummy page is drawn (seeding one costs more than most queries spend
+#: outside their rounds).
+DummyRng = Union[random.Random, Callable[[], random.Random]]
+
 #: Per-context override of the client-side protocol state (PIR simulator and
 #: dummy-retrieval RNG).  The parallel query engine installs one override per
 #: worker so concurrent shards never share mutable PIR state or an RNG
@@ -61,7 +66,7 @@ _client_state_var: ContextVar = ContextVar("repro_client_state", default=None)
 
 
 @contextmanager
-def client_state_scope(pir: "UsablePirSimulator", rng: random.Random):
+def client_state_scope(pir: "UsablePirSimulator", rng: DummyRng):
     """Route :meth:`Scheme.new_round_manager` through ``pir``/``rng`` in this context."""
     token = _client_state_var.set((pir, rng))
     try:
@@ -99,7 +104,7 @@ class RoundManager:
         self,
         pir: UsablePirSimulator,
         trace: AccessTrace,
-        rng: random.Random,
+        rng: DummyRng,
     ) -> None:
         self._pir = pir
         self._trace = trace
@@ -156,9 +161,14 @@ class RoundManager:
                 f"query fetches {wanted} pages from {file_name!r} but the plan "
                 f"allows only {target_pages}"
             )
-        num_pages = self.file_pages(file_name)
-        dummies = [self._rng.randrange(num_pages) for _ in range(target_pages - wanted)]
-        if not pages and not dummies:
+        dummies: List[int] = []
+        if target_pages > wanted:
+            rng = self._rng
+            if not isinstance(rng, random.Random):
+                rng = self._rng = rng()
+            num_pages = self.file_pages(file_name)
+            dummies = [rng.randrange(num_pages) for _ in range(target_pages - wanted)]
+        elif not pages:
             return []
         return self.fetch_many(file_name, pages + dummies)[: len(pages)]
 
@@ -230,6 +240,9 @@ class Scheme(abc.ABC):
         )
         self.dummy_seed = dummy_seed
         self._dummy_rng = random.Random(dummy_seed)
+        #: ``(plan, header bytes, response)`` of the last conforming query:
+        #: a conforming trace's simulated cost depends on nothing else.
+        self._planned: Optional[Tuple[QueryPlan, int, ResponseTime]] = None
 
     # ------------------------------------------------------------------ #
     # common helpers
@@ -261,9 +274,23 @@ class Scheme(abc.ABC):
         client_seconds: float,
         check_plan: bool = True,
     ) -> QueryResult:
+        """Check the trace against the plan and attach the simulated cost.
+
+        A conforming trace's PIR and communication seconds are a function of
+        the plan and the header size alone, so they are computed once and
+        reused; ``check_plan=False`` computes them from the trace.
+        """
         if check_plan:
             verify_plan_conformance(trace, self.plan)
-        response = response_time_from_trace(trace, self.database, self.cost_model, client_seconds)
+            planned = self._planned
+            if planned is None or planned[0] is not self.plan or planned[1] != trace.header_bytes:
+                cost = response_time_from_trace(trace, self.database, self.cost_model)
+                planned = self._planned = (self.plan, trace.header_bytes, cost)
+            response = replace(planned[2], client_s=client_seconds)
+        else:
+            response = response_time_from_trace(
+                trace, self.database, self.cost_model, client_seconds
+            )
         return QueryResult(path=path, response=response, trace=trace, client_seconds=client_seconds)
 
     # ------------------------------------------------------------------ #
@@ -276,7 +303,7 @@ class Scheme(abc.ABC):
     def prepare_query(self, source: NodeId, target: NodeId) -> PreparedQuery:
         """Run the PIR rounds of a query, deferring the client-side solve.
 
-        Schemes with a CSR-native client pipeline override this to return
+        Schemes that search fetched region pages override this to return
         after the last round, leaving region decoding, subgraph assembly and
         the search to :meth:`PreparedQuery.solve`.  The default runs the
         whole query eagerly, so every scheme works under the engine.

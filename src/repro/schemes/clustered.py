@@ -8,10 +8,9 @@ at the cost of fetching ``2 · cluster_pages`` region-data pages per query.
 
 The cluster size is the knob that trades space for response time (Figure 11).
 
-Query processing is inherited from :class:`PassageIndexScheme` and therefore
-CSR-native: the fetched region pages and the passage-subgraph entry are
-assembled directly into a :class:`~repro.network.indexed.CsrGraph` (see
-:mod:`repro.schemes.assembly`), with no dict-based ``RoadNetwork`` round trip.
+Query processing is inherited from :class:`PassageIndexScheme`: the fetched
+region columns and the passage-subgraph entry are searched in place (see
+:mod:`repro.schemes.assembly`), with no ``RoadNetwork`` or CSR build.
 """
 
 from __future__ import annotations

@@ -37,9 +37,8 @@ COMBINED_FILE = "combined"
 LOOKUP_ENTRY_BYTES = 4
 
 #: Client-side decode cache installed by the query engine (None = disabled).
-#: Maps ``("header", bytes)`` to a decoded :class:`HeaderInfo`, ``("region",
-#: bytes)`` to a decoded region payload, and ``("csr", ...)`` to an assembled
-#: query subgraph (see :mod:`repro.schemes.assembly`).  Cached objects are
+#: Maps ``("header", bytes)`` to a decoded :class:`HeaderInfo` and
+#: ``("region", bytes)`` to a region's decoded columns.  Cached objects are
 #: treated as read-only by all query paths; the adversary-visible PIR fetches
 #: still happen for every query, only the client-side decode work is shared.
 #: Held in a :class:`~contextvars.ContextVar` so the parallel engine can
@@ -173,8 +172,12 @@ class HeaderInfo:
         entries).  ``pages_of`` reports a file's true page count, which the
         client learns from the PIR layer, not from the header.  The counts
         the header assigns to each named file (HY's index and data share
-        the combined file) must sum to that file's page count, and the
-        index window must fit inside the index.
+        the combined file) must sum to that file's page count, the regions
+        must fill the data pages, and the index window must fit inside the
+        index.  ``data_round_pages`` must equal the data pages of the
+        header's own plan (the plan's pages of the data file, less the index
+        window when index and data share a file) and stay within
+        ``num_regions + 2`` regions plus the continuation pages.
         """
         claimed: Dict[str, int] = {}
         for name, count in (
@@ -189,10 +192,29 @@ class HeaderInfo:
                 raise StorageError(
                     f"header assigns {count} pages to file {name!r}, which holds {actual}"
                 )
-        if self.index_fetch_pages > self.num_index_pages:
+        if self.num_regions * self.data_pages_per_region != self.num_data_pages:
             raise StorageError(
-                f"header fetches {self.index_fetch_pages} index pages per query "
-                f"from an index of {self.num_index_pages}"
+                f"header packs {self.num_regions} regions of {self.data_pages_per_region} "
+                f"pages into {self.num_data_pages} data pages"
+            )
+        for name, count in (
+            ("index", self.index_fetch_pages),
+            ("continuation", self.index_continuation_pages),
+        ):
+            if count > self.num_index_pages:
+                raise StorageError(
+                    f"header fetches {count} {name} pages per query "
+                    f"from an index of {self.num_index_pages}"
+                )
+        planned = self.plan.pages_per_file().get(self.data_file, 0)
+        if self.index_file == self.data_file:
+            planned -= self.index_fetch_pages
+        bound = (self.num_regions + 2) * self.data_pages_per_region
+        bound += self.index_continuation_pages
+        if self.data_round_pages != planned or self.data_round_pages > bound:
+            raise StorageError(
+                f"header pads the data round to {self.data_round_pages} pages; its plan "
+                f"fetches {planned} and {bound} is the most its regions can need"
             )
 
     def encode(self) -> bytes:
@@ -407,11 +429,11 @@ def build_region_data_file(
 
 
 def decode_region_pages(pages: Sequence[bytes]):
-    """Decode the node records of one region from its (concatenated) pages.
+    """Decode the columns of one region from its (concatenated) pages.
 
     When the query engine has a decode cache installed, identical page
     contents (the common case for repeated region fetches within a workload)
-    are decoded once and shared; callers must not mutate the returned payload.
+    are decoded once and shared; callers must not mutate the returned columns.
     """
     return decode_region_bytes(b"".join(pages))
 

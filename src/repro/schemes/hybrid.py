@@ -296,7 +296,7 @@ class HybridScheme(Scheme):
             with timer:
                 if is_subgraph_entry:
                     # continuation pages may extend the entry; re-decode from
-                    # the full page list (skipped on an assembly-cache hit)
+                    # the full page list
                     index_pages = list(fetched_index) + continuation_pages
                     graph = assembly.assemble_passage_csr(
                         payloads,

@@ -28,7 +28,7 @@ from ..partition import (
 from ..precompute import BorderProducts, compute_border_products
 from ..storage import Database
 from . import assembly
-from .assembly import csr_shortest_path, subgraph_from_entry
+from .assembly import csr_shortest_path
 from .base import PreparedQuery, QueryResult, Scheme, Timer
 from .files import (
     DATA_FILE,
@@ -43,7 +43,7 @@ from .files import (
 from .index_entries import IndexFileBuilder
 from .plan import QueryPlan, RoundSpec
 
-__all__ = ["PassageIndexScheme", "subgraph_from_entry"]
+__all__ = ["PassageIndexScheme"]
 
 _PAYLOAD_RESERVE = 8
 
@@ -168,9 +168,8 @@ class PassageIndexScheme(Scheme):
         return self.prepare_query(source, target).solve()
 
     def prepare_query(self, source: NodeId, target: NodeId) -> PreparedQuery:
-        """All three PIR rounds; entry decode, CSR assembly and the search run
-        in ``solve()`` (and are skipped entirely when the assembled subgraph
-        of this region pair is already cached)."""
+        """All three PIR rounds; entry decode, assembly and the search run in
+        ``solve()``."""
         from ..pir import AccessTrace
 
         trace = AccessTrace()

@@ -40,8 +40,9 @@ from .stores import PathLike
 MANIFEST_NAME = "manifest.json"
 #: Name of the header image.
 HEADER_NAME = "header.bin"
-#: Manifest format version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: Manifest format version (bumped on incompatible layout changes; 2 stores
+#: region records column by column).
+MANIFEST_VERSION = 2
 
 
 def _checksum(data: bytes) -> str:

@@ -8,6 +8,8 @@ full build pipeline.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,11 @@ from repro.schemes import (
     LandmarkScheme,
     PassageIndexScheme,
 )
+
+# the reference implementations in tests/oracles import as top-level modules
+_ORACLES = str(Path(__file__).resolve().parent / "oracles")
+if _ORACLES not in sys.path:
+    sys.path.append(_ORACLES)
 
 #: Node count of the shared test network — small enough for fast builds,
 #: large enough to produce a few dozen regions with the tiny page size below.

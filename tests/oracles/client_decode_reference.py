@@ -8,7 +8,10 @@ with flat-struct decoders and a walk over the flat split table.  They read
 every field through :class:`~repro.storage.RecordReader` and route a point
 by rebuilding the split tree (``Partitioning.tree_from_splits``) and
 descending it.  ``decode_header`` is ``HeaderInfo.decode`` without the
-decode-cache probe.  The fast decoders must return exactly the same objects.
+decode-cache probe.  The fast decoders must return exactly the same objects
+(``decode_region_payload`` reads the row format of
+``region_rows_reference``; the fast decoder's row view of the same nodes in
+columns must equal it).
 """
 
 from __future__ import annotations

@@ -7,18 +7,21 @@ every input: node ids and split indices on both sides of the one- and
 two-byte varint limits (127/128, 16,383/16,384), degrees 0/127/128/300,
 floats of any bit pattern (compared by their packed bytes, so NaN and -0.0
 count), trailing page padding — and a :class:`StorageError`, never a
-``struct.error``, for every truncated input.
+``struct.error``, for every truncated input.  Region records are stored in
+columns now; the reference reads the same nodes written in the row format.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import client_decode_reference as reference
+from region_rows_reference import rows_of
 from repro import SystemSpec
 from repro.exceptions import StorageError
 from repro.network import random_planar_network
@@ -55,19 +58,30 @@ def _float_bytes(rng: random.Random, codec: str) -> bytes:
     return rng.randbytes(struct.calcsize(codec))
 
 
-def _region_payload(seed: int, count: int) -> bytes:
+def _region_payload(seed: int, count: int) -> Tuple[bytes, bytes]:
+    """One random region in the row format and in the column format."""
     rng = random.Random(seed)
-    writer = RecordWriter()
-    writer.varint(count)
+    nodes = []
     for _ in range(count):
-        writer.uint32(_int(rng))
-        writer.raw(_float_bytes(rng, "<f") + _float_bytes(rng, "<f"))
-        degree = rng.choice(DEGREES)
-        writer.varint(degree)
-        for _ in range(degree):
-            writer.uint32(_int(rng))
-            writer.raw(_float_bytes(rng, "<f"))
-    return writer.getvalue()
+        node_id = _int(rng)
+        xy = _float_bytes(rng, "<f") + _float_bytes(rng, "<f")
+        edges = [(_int(rng), _float_bytes(rng, "<f")) for _ in range(rng.choice(DEGREES))]
+        nodes.append((node_id, xy, edges))
+    rows = RecordWriter().varint(count)
+    columns = RecordWriter().varint(count)
+    for node_id, xy, edges in nodes:
+        rows.uint32(node_id).raw(xy).varint(len(edges))
+        for neighbor, weight in edges:
+            rows.uint32(neighbor).raw(weight)
+        columns.uint32(node_id)
+    edges = [edge for _, _, node_edges in nodes for edge in node_edges]
+    columns.raw(b"".join(xy for _, xy, _ in nodes))
+    for _, _, node_edges in nodes:
+        columns.varint(len(node_edges))
+    for neighbor, _ in edges:
+        columns.uint32(neighbor)
+    columns.raw(b"".join(weight for _, weight in edges))
+    return rows.getvalue(), columns.getvalue()
 
 
 def _canonical_payload(nodes):
@@ -131,22 +145,27 @@ padding = st.integers(0, 64)
 
 
 class TestRegionPayload:
+    """The columnar decoder's row view equals the field-by-field decoder's
+    reading of the same region in the row format."""
+
     @settings(max_examples=60, deadline=None)
     @given(seeds, payload_counts, padding)
     def test_matches_reference(self, seed, count, pad):
-        data = _region_payload(seed, count) + bytes(pad)
-        fast = decode_region_payload(data)
-        assert _canonical_payload(fast) == _canonical_payload(reference.decode_region_payload(data))
+        rows, columns = _region_payload(seed, count)
+        assert len(rows) == len(columns)
+        fast = rows_of(decode_region_payload(columns + bytes(pad)))
+        slow = reference.decode_region_payload(rows + bytes(pad))
+        assert _canonical_payload(fast) == _canonical_payload(slow)
 
     @settings(max_examples=60, deadline=None)
     @given(seeds, payload_counts, st.data())
     def test_truncated_payload_raises_storage_error(self, seed, count, data):
-        payload = _region_payload(seed, count)
-        cut = data.draw(st.integers(0, len(payload) - 1))
+        rows, columns = _region_payload(seed, count)
+        cut = data.draw(st.integers(0, len(columns) - 1))
         with pytest.raises(StorageError):
-            decode_region_payload(payload[:cut])
+            decode_region_payload(columns[:cut])
         with pytest.raises(StorageError):
-            reference.decode_region_payload(payload[:cut])
+            reference.decode_region_payload(rows[:cut])
 
 
 class TestHeader:

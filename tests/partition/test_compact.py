@@ -2,6 +2,7 @@
 
 import pytest
 
+from region_rows_reference import rows_of
 from repro.exceptions import StorageError
 from repro.network import grid_network
 from repro.partition import (
@@ -85,7 +86,7 @@ class TestCompactCodecRoundtrip:
             CompactCodecConfig(weight_resolution=-1.0)
 
     def test_matches_standard_decoder_structure(self, network, node_ids):
-        standard = decode_region_payload(encode_region_payload(network, node_ids))
+        standard = rows_of(decode_region_payload(encode_region_payload(network, node_ids)))
         compact = decode_region_payload_compact(
             encode_region_payload_compact(network, node_ids)
         )

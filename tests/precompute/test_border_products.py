@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.network import shortest_path, shortest_path_cost
-from repro.partition import merge_region_payloads, encode_region_payload, decode_region_payload
 from repro.precompute import compute_border_products
 
 

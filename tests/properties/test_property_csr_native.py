@@ -1,42 +1,43 @@
-"""Property tests: the CSR-native client pipeline vs. the dict-merge oracles.
+"""Property tests: the in-place client pipeline vs. the dict-merge oracles.
 
-Every scheme's query path assembles its search graph straight into CSR form
+Every scheme's query path searches the fetched region columns in place
 (:mod:`repro.schemes.assembly`).  These tests re-run randomized workloads
-with the assembly routed through the preserved ``reference_*`` dict-merge
-oracles and assert that costs, paths, adversary views and the private access
-traces are identical — and that sharding a batch across engine workers
-changes nothing at all.
+with the assembly routed through the dict-merge oracles of
+``tests/oracles/region_rows_reference.py`` — a ``RoadNetwork`` built from
+decoded rows, searched by :func:`repro.network.shortest_path` — and assert
+that costs, paths, adversary views and the private access traces are
+identical — and that sharding a batch across engine workers changes nothing
+at all.
 """
 
 from contextlib import contextmanager
 
 import pytest
 
+from region_rows_reference import reference_passage_graph, reference_region_graph
 from repro.bench.workloads import generate_workload
 from repro.engine import QueryEngine
-from repro.network import CsrGraph
-from repro.schemes import assembly
+from repro.network import shortest_path
+from repro.schemes import assembly, ci, hybrid, pi
+
+#: The scheme modules that bind the client search by name.
+_SEARCHING_MODULES = (ci, pi, hybrid)
 
 
 @contextmanager
 def _reference_assembly():
     """Route scheme queries through the dict-merge reference oracles."""
-
-    def region_csr(payload_groups):
-        return CsrGraph.from_network(assembly.reference_region_graph(payload_groups))
-
-    def passage_csr(payload_groups, index_pages, pair, entry=None):
-        return CsrGraph.from_network(
-            assembly.reference_passage_graph(payload_groups, index_pages, pair, entry)
-        )
-
     saved = (assembly.assemble_region_csr, assembly.assemble_passage_csr)
-    assembly.assemble_region_csr = region_csr
-    assembly.assemble_passage_csr = passage_csr
+    assembly.assemble_region_csr = reference_region_graph
+    assembly.assemble_passage_csr = reference_passage_graph
+    for module in _SEARCHING_MODULES:
+        module.csr_shortest_path = shortest_path
     try:
         yield
     finally:
         assembly.assemble_region_csr, assembly.assemble_passage_csr = saved
+        for module in _SEARCHING_MODULES:
+            module.csr_shortest_path = assembly.csr_shortest_path
 
 
 def _assert_identical_batches(fast, reference):

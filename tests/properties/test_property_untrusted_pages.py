@@ -1,8 +1,8 @@
 """Property: every page the client decodes is untrusted bytes.
 
-Each client page type — header, look-up, region, compact region and index —
-is mutated (bytes overwritten, inserted and deleted, the page truncated) and
-decoded the way the client decodes it.  The result is a valid decode or a
+Each client page type — header, look-up, columnar region, compact region
+and index — is mutated (bytes overwritten, inserted and deleted, the page
+truncated) and decoded the way the client decodes it.  The result is a valid decode or a
 :class:`~repro.exceptions.StorageError`: never another exception and never
 an unbounded walk.  The seeds are real pages of every scheme that writes the
 page type, on the shared test network.
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import StorageError
+from repro.partition import RegionColumns
 from repro.partition.compact import (
     decode_region_payload_compact,
     encode_region_payload_compact,
@@ -148,7 +149,10 @@ def test_region_payload_decodes_or_raises(indexed_scheme, data):
         decoded = decode_region_bytes(mutate(b"".join(pages), data.draw(EDITS)))
     except StorageError:
         return
-    assert isinstance(decoded, dict)
+    assert isinstance(decoded, RegionColumns)
+    assert len(decoded.ids) * 2 == len(decoded.xy)
+    assert len(decoded.ids) == len(decoded.degrees)
+    assert sum(decoded.degrees) == len(decoded.neighbours) == len(decoded.weights)
 
 
 @EXAMPLES

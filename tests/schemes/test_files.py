@@ -192,7 +192,7 @@ class TestRegionDataFile:
         assert data_file.num_pages == partitioning.num_regions
         for region in partitioning.regions():
             decoded = decode_region_pages([data_file.read_page(region.region_id)])
-            assert set(decoded) == set(region.node_ids)
+            assert list(decoded.ids) == list(region.node_ids)
 
     def test_clustered_regions_round_trip(self, small_network, tiny_spec):
         pages_per_region = 2
@@ -210,7 +210,7 @@ class TestRegionDataFile:
                 )
             ]
             decoded = decode_region_pages(pages)
-            assert set(decoded) == set(region.node_ids)
+            assert list(decoded.ids) == list(region.node_ids)
 
     def test_oversized_region_rejected(self, small_network, partitioning):
         database = Database(page_size=32)  # far too small for any region payload
