@@ -36,8 +36,6 @@ from repro.bench.workloads import generate_hotspot_workload, generate_workload
 from repro.network import (
     all_pairs_sample_costs,
     random_planar_network,
-    reference_dijkstra_tree,
-    reference_shortest_path,
     shortest_path,
     dijkstra_tree,
 )
@@ -62,6 +60,7 @@ def _reference_all_pairs(network, pairs):
     for source, target in pairs:
         by_source.setdefault(source, []).append(target)
     costs = {}
+    reference_dijkstra_tree = _search_oracles().reference_dijkstra_tree
     for source, targets in by_source.items():
         tree = reference_dijkstra_tree(network, source, targets=targets)
         for target in targets:
@@ -129,9 +128,11 @@ def run_dijkstra_microbench(num_nodes=1500, num_queries=60, seed=7):
         batched = all_pairs_sample_costs(network, pairs)
         return costs, trees, batched
 
+    oracle = _search_oracles()
+
     def run_reference():
-        costs = [reference_shortest_path(network, s, t).cost for s, t in pairs]
-        trees = [reference_dijkstra_tree(network, s) for s in sources]
+        costs = [oracle.reference_shortest_path(network, s, t).cost for s, t in pairs]
+        trees = [oracle.reference_dijkstra_tree(network, s) for s in sources]
         batched = _reference_all_pairs(network, pairs)
         return costs, trees, batched
 
@@ -228,6 +229,14 @@ def _oracles():
     import region_rows_reference
 
     return region_rows_reference
+
+
+def _search_oracles():
+    """The dict-based Dijkstra of ``tests/oracles``: the seed's search baseline."""
+    _oracles()
+    import search_reference
+
+    return search_reference
 
 
 def _pr1_passage_graph(payload_groups, index_pages, pair, entry=None):

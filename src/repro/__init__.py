@@ -37,11 +37,8 @@ from .network import (
     Path,
     RoadNetwork,
     astar_search,
-    bidirectional_dijkstra,
-    build_csr,
     csr_for,
     dijkstra_tree,
-    grid_network,
     random_planar_network,
     read_network,
     shortest_path,
@@ -130,9 +127,7 @@ __all__ = [
     "SystemSpec",
     "UsablePirSimulator",
     "astar_search",
-    "bidirectional_dijkstra",
     "build_arc_flags",
-    "build_csr",
     "build_landmark_index",
     "check_indistinguishability",
     "compute_approximate_passage_subgraphs",
@@ -140,7 +135,6 @@ __all__ = [
     "compute_border_products",
     "csr_for",
     "dijkstra_tree",
-    "grid_network",
     "measure_cost_deviation",
     "packed_kdtree_partition",
     "plain_kdtree_partition",

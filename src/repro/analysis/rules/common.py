@@ -11,14 +11,13 @@ parent tracking where a rule needs enclosing-context questions.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "call_name",
     "dotted_name",
     "import_aliases",
     "iter_scopes",
-    "names_in",
     "resolve_qualified",
 ]
 
@@ -70,11 +69,6 @@ def resolve_qualified(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
 def call_name(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
     """The import-resolved dotted name of a call's target."""
     return resolve_qualified(call.func, aliases)
-
-
-def names_in(node: ast.AST) -> Set[str]:
-    """Every bare identifier referenced anywhere inside ``node``."""
-    return {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
 
 
 def iter_scopes(

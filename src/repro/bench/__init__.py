@@ -36,7 +36,6 @@ from .runner import WorkloadSummary, run_obfuscation_workload, run_workload
 from .workloads import (
     DEFAULT_WORKLOAD_SIZE,
     generate_hotspot_workload,
-    generate_long_distance_workload,
     generate_workload,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "format_series",
     "format_table",
     "generate_hotspot_workload",
-    "generate_long_distance_workload",
     "generate_workload",
     "get_cache",
     "load_dataset",

@@ -46,24 +46,6 @@ class WorkloadSummary:
     #: PIR database shards each worker context connected to.
     shards: int = 1
 
-    def as_row(self) -> Dict[str, object]:
-        """A flat dictionary convenient for report tables."""
-        row: Dict[str, object] = {
-            "scheme": self.scheme_name,
-            "response_s": round(self.mean_response_s, 2),
-            "pir_s": round(self.mean_pir_s, 2),
-            "communication_s": round(self.mean_communication_s, 2),
-            "client_s": round(self.mean_client_s, 4),
-            "storage_mb": round(self.storage_mb, 3),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-        for file_name, accesses in sorted(self.mean_page_accesses.items()):
-            row[f"pages_{file_name}"] = round(accesses, 1)
-            row[f"file_pages_{file_name}"] = self.file_pages.get(file_name, 0)
-        return row
-
-
 def run_workload(
     scheme: Scheme,
     pairs: Sequence[QueryPair],

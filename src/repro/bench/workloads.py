@@ -62,30 +62,3 @@ def generate_hotspot_workload(
     pairs = [rng.choice(hot) for _ in range(num_hot)] + cold
     rng.shuffle(pairs)
     return pairs
-
-
-def generate_long_distance_workload(
-    network: RoadNetwork,
-    count: int = DEFAULT_WORKLOAD_SIZE,
-    seed: int = 42,
-    quantile: float = 0.75,
-) -> List[QueryPair]:
-    """Pairs whose Euclidean separation is above the given quantile.
-
-    Useful for stressing the worst-case behaviour of the baselines (long
-    queries read most of the database).
-    """
-    rng = random.Random(seed)
-    node_ids = list(network.node_ids())
-    candidates = []
-    for _ in range(count * 8):
-        source = rng.choice(node_ids)
-        target = rng.choice(node_ids)
-        if source == target:
-            continue
-        candidates.append((network.euclidean_distance(source, target), source, target))
-    candidates.sort()
-    threshold_index = int(len(candidates) * quantile)
-    selected = candidates[threshold_index:]
-    rng.shuffle(selected)
-    return [(source, target) for _, source, target in selected[:count]]

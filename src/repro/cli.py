@@ -267,7 +267,12 @@ def _load_network_and_spec(args: argparse.Namespace):
         network = load_dataset(args.dataset)
         spec = system_spec_for("quick")
     else:
-        network = read_network(args.network)
+        try:
+            network = read_network(args.network)
+        except OSError as exc:
+            print(f"error: cannot read --network {args.network}: {exc.strerror}",
+                  file=sys.stderr)
+            raise SystemExit(2) from None
         spec = SystemSpec(page_size=512)
     if args.page_size:
         spec = spec.with_overrides(page_size=args.page_size)

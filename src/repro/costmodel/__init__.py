@@ -6,7 +6,6 @@ from .timing import (
     ResponseTime,
     communication_time,
     pir_page_retrieval_time,
-    plain_page_read_time,
 )
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "SystemSpec",
     "communication_time",
     "pir_page_retrieval_time",
-    "plain_page_read_time",
 ]

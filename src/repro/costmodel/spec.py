@@ -51,16 +51,5 @@ class SystemSpec:
         """A copy of the spec with selected fields replaced."""
         return replace(self, **kwargs)
 
-    @property
-    def max_pages_per_file(self) -> int:
-        """Maximum number of pages a PIR-accessible file may contain."""
-        return self.max_file_bytes // self.page_size
-
-    def max_supported_pages_by_memory(self) -> int:
-        """Largest file (in pages) the SCP memory can support (``c·sqrt(N) ≤ RAM``)."""
-        limit = (self.scp_memory_bytes / self.scp_memory_factor) ** 2
-        return int(limit // self.page_size)
-
-
 #: The default specification used throughout the evaluation (Table 2).
 DEFAULT_SPEC = SystemSpec()

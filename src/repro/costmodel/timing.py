@@ -44,11 +44,6 @@ def pir_page_retrieval_time(num_pages_in_file: int, spec: SystemSpec = DEFAULT_S
     return compute_s + seek_s
 
 
-def plain_page_read_time(spec: SystemSpec = DEFAULT_SPEC) -> float:
-    """Time for a plain (unsecured) random disk page read, for comparison."""
-    return spec.disk_seek_s + spec.page_size / spec.disk_rate_bps
-
-
 def communication_time(bytes_transferred: int, rounds: int, spec: SystemSpec = DEFAULT_SPEC) -> float:
     """Time to ship ``bytes_transferred`` to the client over ``rounds`` exchanges."""
     if bytes_transferred < 0 or rounds < 0:

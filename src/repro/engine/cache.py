@@ -56,12 +56,6 @@ class LruCache:
         with self._lock:
             self._entries.clear()
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when never used)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -103,10 +97,6 @@ class NullCache:
 
     def clear(self) -> None:
         return None
-
-    @property
-    def hit_rate(self) -> float:
-        return 0.0
 
     def __len__(self) -> int:
         return 0

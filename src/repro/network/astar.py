@@ -6,14 +6,12 @@ inequality) heuristic built from pre-computed landmark vectors.
 
 Like :mod:`repro.network.dijkstra`, the public function is a thin wrapper
 over the array-backed fast path in :mod:`repro.network.indexed`; the original
-dict-based implementation is kept as :func:`reference_astar_search`.
+dict-based implementation is the oracle in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..exceptions import NoPathError
 from .graph import NodeId, RoadNetwork
@@ -21,26 +19,6 @@ from .indexed import astar_arrays, csr_for
 from .paths import Path, SearchStats
 
 Heuristic = Callable[[NodeId], float]
-
-
-def euclidean_heuristic(network: RoadNetwork, target: NodeId) -> Heuristic:
-    """Euclidean-distance lower bound to ``target``.
-
-    Admissible whenever edge weights are at least the Euclidean length of the
-    edge, which holds for the generators in this package.
-    """
-    target_node = network.node(target)
-
-    def heuristic(node_id: NodeId) -> float:
-        node = network.node(node_id)
-        return math.hypot(node.x - target_node.x, node.y - target_node.y)
-
-    return heuristic
-
-
-def zero_heuristic(_: NodeId) -> float:
-    """Degenerates A* into Dijkstra."""
-    return 0.0
 
 
 def astar_search(
@@ -90,62 +68,3 @@ def astar_search(
     cost, dense_nodes = result
     ids = csr.node_ids
     return Path(tuple(ids[dense] for dense in dense_nodes), cost)
-
-
-def reference_astar_search(
-    network: RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    heuristic: Optional[Heuristic] = None,
-    stats: Optional[SearchStats] = None,
-    on_settle: Optional[Callable[[NodeId], None]] = None,
-) -> Path:
-    """The original dict-based A*, preserved as the oracle for property tests."""
-    network.node(source)
-    network.node(target)
-    if heuristic is None:
-        if getattr(network, "heuristic_safe", True):
-            heuristic = euclidean_heuristic(network, target)
-        else:
-            heuristic = zero_heuristic  # placeholder coordinates: Euclidean is inadmissible
-    if source == target:
-        if on_settle is not None:
-            on_settle(source)
-        return Path((source,), 0.0)
-
-    g_score: Dict[NodeId, float] = {source: 0.0}
-    parents: Dict[NodeId, Optional[NodeId]] = {source: None}
-    settled: set = set()
-    heap: List[Tuple[float, NodeId]] = [(heuristic(source), source)]
-
-    while heap:
-        _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if stats is not None:
-            stats.settled_nodes += 1
-            stats.visited_nodes.append(node)
-        if on_settle is not None:
-            on_settle(node)
-        if node == target:
-            nodes: List[NodeId] = [target]
-            current = target
-            while parents[current] is not None:
-                current = parents[current]
-                nodes.append(current)
-            nodes.reverse()
-            return Path(tuple(nodes), g_score[target])
-        node_cost = g_score[node]
-        for neighbor, weight in network.neighbors(node):
-            if neighbor in settled:
-                continue
-            candidate = node_cost + weight
-            if candidate < g_score.get(neighbor, math.inf):
-                g_score[neighbor] = candidate
-                parents[neighbor] = node
-                heapq.heappush(heap, (candidate + heuristic(neighbor), neighbor))
-                if stats is not None:
-                    stats.relaxed_edges += 1
-
-    raise NoPathError(source, target)

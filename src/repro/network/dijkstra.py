@@ -9,13 +9,12 @@ The public functions are thin compatibility wrappers over the array-backed
 fast path in :mod:`repro.network.indexed`: the network is compiled once into a
 :class:`~repro.network.indexed.CsrGraph` (cached on the network object) and
 all heap work runs on dense integer ids and flat lists.  The original
-dict-based implementations are kept as ``reference_*`` functions; the property
+dict-based implementations are the oracles in ``tests/oracles``; the property
 tests assert that the fast path returns identical costs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -24,7 +23,6 @@ from ..exceptions import NoPathError
 from .graph import NodeId, RoadNetwork
 from .indexed import (
     SCIPY_MIN_NODES as _SCIPY_MIN_NODES,
-    bidirectional_arrays,
     csr_for,
     dijkstra_arrays,
     scipy_dijkstra_arrays,
@@ -183,35 +181,6 @@ def shortest_path_cost(network: RoadNetwork, source: NodeId, target: NodeId) -> 
     return shortest_path(network, source, target).cost
 
 
-def bidirectional_dijkstra(
-    network: RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    stats: Optional[SearchStats] = None,
-) -> Path:
-    """Bidirectional Dijkstra; returns the same path cost as :func:`shortest_path`.
-
-    Provided as an additional substrate primitive; note that road-network
-    schemes in the paper expand from both endpoints implicitly by fetching the
-    source and destination regions first.  ``stats`` is kept at parity with
-    :func:`dijkstra_tree`: settles from *both* directions count toward
-    ``settled_nodes``/``visited_nodes`` and successful relaxations toward
-    ``relaxed_edges``.
-    """
-    if source == target:
-        network.node(source)
-        return Path((source,), 0.0)
-    csr = csr_for(network)
-    dense_source = csr.dense_id(source)
-    dense_target = csr.dense_id(target)
-    result = bidirectional_arrays(csr, dense_source, dense_target, stats)
-    if result is None:
-        raise NoPathError(source, target)
-    cost, dense_nodes = result
-    node_ids = csr.node_ids
-    return Path(tuple(node_ids[dense] for dense in dense_nodes), cost)
-
-
 def all_pairs_sample_costs(
     network: RoadNetwork, pairs: Iterable[Tuple[NodeId, NodeId]]
 ) -> Dict[Tuple[NodeId, NodeId], float]:
@@ -255,137 +224,3 @@ def all_pairs_sample_costs(
         for target in targets:
             costs[(source, target)] = tree.distance_to(target)
     return costs
-
-
-# ---------------------------------------------------------------------- #
-# reference implementations (dict-based; kept for property tests and
-# microbenchmark baselines — see tests/properties/test_property_fastpath.py)
-# ---------------------------------------------------------------------- #
-def reference_dijkstra_tree(
-    network: RoadNetwork,
-    source: NodeId,
-    targets: Optional[Iterable[NodeId]] = None,
-    stats: Optional[SearchStats] = None,
-) -> ShortestPathTree:
-    """The original dict-based Dijkstra, preserved verbatim as the oracle."""
-    network.node(source)  # validates the source exists
-    remaining = set(targets) if targets is not None else None
-    distances: Dict[NodeId, float] = {source: 0.0}
-    parents: Dict[NodeId, Optional[NodeId]] = {source: None}
-    settled: set = set()
-    heap: List[Tuple[float, NodeId]] = [(0.0, source)]
-
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if stats is not None:
-            stats.settled_nodes += 1
-            stats.visited_nodes.append(node)
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
-        for neighbor, weight in network.neighbors(node):
-            if neighbor in settled:
-                continue
-            candidate = dist + weight
-            if candidate < distances.get(neighbor, math.inf):
-                distances[neighbor] = candidate
-                parents[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-                if stats is not None:
-                    stats.relaxed_edges += 1
-
-    return ShortestPathTree(source, distances, parents)
-
-
-def reference_shortest_path(
-    network: RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    stats: Optional[SearchStats] = None,
-) -> Path:
-    """Point-to-point shortest path via the reference Dijkstra."""
-    if source == target:
-        network.node(source)
-        return Path((source,), 0.0)
-    tree = reference_dijkstra_tree(network, source, targets=[target], stats=stats)
-    if not tree.has_path_to(target):
-        raise NoPathError(source, target)
-    return tree.path_to(target)
-
-
-def reference_bidirectional_dijkstra(
-    network: RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-) -> Path:
-    """The original dict-based bidirectional Dijkstra, preserved as the oracle."""
-    if source == target:
-        network.node(source)
-        return Path((source,), 0.0)
-    network.node(source)
-    network.node(target)
-
-    forward_dist: Dict[NodeId, float] = {source: 0.0}
-    backward_dist: Dict[NodeId, float] = {target: 0.0}
-    forward_parent: Dict[NodeId, Optional[NodeId]] = {source: None}
-    backward_parent: Dict[NodeId, Optional[NodeId]] = {target: None}
-    forward_settled: set = set()
-    backward_settled: set = set()
-    forward_heap: List[Tuple[float, NodeId]] = [(0.0, source)]
-    backward_heap: List[Tuple[float, NodeId]] = [(0.0, target)]
-    reverse = network.reversed()
-
-    best_cost = math.inf
-    meeting_node: Optional[NodeId] = None
-
-    def relax(heap, dist_map, parent_map, settled, graph, other_dist):
-        nonlocal best_cost, meeting_node
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            return
-        settled.add(node)
-        for neighbor, weight in graph.neighbors(node):
-            candidate = dist + weight
-            if candidate < dist_map.get(neighbor, math.inf):
-                dist_map[neighbor] = candidate
-                parent_map[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-            if neighbor in other_dist:
-                total = dist_map.get(neighbor, candidate) + other_dist[neighbor]
-                if total < best_cost:
-                    best_cost = total
-                    meeting_node = neighbor
-
-    while forward_heap and backward_heap:
-        if forward_heap[0][0] + backward_heap[0][0] >= best_cost:
-            break
-        if forward_heap[0][0] <= backward_heap[0][0]:
-            relax(forward_heap, forward_dist, forward_parent, forward_settled,
-                  network, backward_dist)
-        else:
-            relax(backward_heap, backward_dist, backward_parent, backward_settled,
-                  reverse, forward_dist)
-
-    if meeting_node is None:
-        raise NoPathError(source, target)
-
-    # stitch the two half-paths together at the meeting node
-    forward_nodes: List[NodeId] = [meeting_node]
-    current = meeting_node
-    while forward_parent.get(current) is not None:
-        current = forward_parent[current]
-        forward_nodes.append(current)
-    forward_nodes.reverse()
-
-    current = meeting_node
-    backward_nodes: List[NodeId] = []
-    while backward_parent.get(current) is not None:
-        current = backward_parent[current]
-        backward_nodes.append(current)
-
-    nodes = forward_nodes + backward_nodes
-    return Path(tuple(nodes), best_cost)

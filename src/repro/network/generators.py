@@ -11,9 +11,9 @@ same structural characteristics that the schemes depend on:
   Euclidean length scaled by a detour factor ``≥ 1``), so Euclidean/landmark
   heuristics remain admissible.
 
-Two generator families are provided: a perturbed grid (simple, fully
-deterministic shape) and a Delaunay-based random planar network (the default
-for the dataset registry in :mod:`repro.bench.datasets`).
+Two generators are provided: a Delaunay-based random planar network (the
+default for the dataset registry in :mod:`repro.bench.datasets`) and a
+streaming perturbed grid for out-of-core builds.
 
 numpy and scipy are optional: with numpy installed the generators draw from
 ``numpy.random.default_rng`` exactly as before (byte-identical networks for a
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random as _random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 try:  # numpy is optional; the pure-Python RNG below stands in without it
     import numpy as _np
@@ -94,46 +94,6 @@ class _UnionFind:
             return False
         self._parent[root_b] = root_a
         return True
-
-
-def grid_network(
-    rows: int,
-    cols: int,
-    spacing: float = 1.0,
-    jitter: float = 0.2,
-    drop_fraction: float = 0.0,
-    seed: int = 0,
-) -> RoadNetwork:
-    """A rows x cols grid with jittered coordinates and optional edge drops.
-
-    The network stays connected: candidate drops that would disconnect it are
-    skipped.  Weights are the Euclidean edge lengths.
-    """
-    if rows < 1 or cols < 1:
-        raise GraphError("grid dimensions must be positive")
-    rng = _default_rng(seed)
-    network = RoadNetwork()
-    for row in range(rows):
-        for col in range(cols):
-            node_id = row * cols + col
-            x = col * spacing + rng.uniform(-jitter, jitter) * spacing
-            y = row * spacing + rng.uniform(-jitter, jitter) * spacing
-            network.add_node(node_id, x, y)
-
-    undirected: List[Tuple[int, int]] = []
-    for row in range(rows):
-        for col in range(cols):
-            node_id = row * cols + col
-            if col + 1 < cols:
-                undirected.append((node_id, node_id + 1))
-            if row + 1 < rows:
-                undirected.append((node_id, node_id + cols))
-
-    keep = _drop_edges_keeping_connectivity(undirected, rows * cols, drop_fraction, rng)
-    for a, b in keep:
-        weight = network.euclidean_distance(a, b)
-        network.add_undirected_edge(a, b, max(weight, 1e-9))
-    return network
 
 
 def random_planar_network(
@@ -237,10 +197,10 @@ def stream_grid_network(
 ) -> Iterator[NodeRecord]:
     """Stream a rows x cols grid as :data:`NodeRecord` tuples, in node-id order.
 
-    The continental-scale counterpart of :func:`grid_network`: designed to be
-    piped straight into :func:`repro.storage.stream_node_database` so networks
-    of 10⁶+ nodes land on an out-of-core page store without ever materializing
-    a :class:`RoadNetwork`.  Memory use is O(1) per node — coordinates use the
+    Designed to be piped straight into
+    :func:`repro.storage.stream_node_database` so networks of 10⁶+ nodes
+    land on an out-of-core page store without ever materializing a
+    :class:`RoadNetwork`.  Memory use is O(1) per node — coordinates use the
     stateless hash jitter of :func:`_unit_hash`, so each record derives its
     neighbors' positions (and hence symmetric edge weights) locally.
 
@@ -262,72 +222,6 @@ def stream_grid_network(
                 weight = max(math.hypot(nx - x, ny - y), 1e-9)
                 neighbors.append((n_row * cols + n_col, weight))
             yield node_id, x, y, neighbors
-
-
-def stream_cluster_network(
-    num_clusters: int,
-    cluster_size: int,
-    spacing: float = 10.0,
-    radius: float = 2.0,
-    jitter: float = 0.15,
-    seed: int = 0,
-) -> Iterator[NodeRecord]:
-    """Stream a clustered network as :data:`NodeRecord` tuples.
-
-    Clusters sit on a near-square grid of centers ``spacing`` apart; each
-    cluster is a ring of ``cluster_size`` nodes at (jittered) ``radius`` from
-    its center, and cluster ``c``'s gateway node (local index 0) links to the
-    gateways of clusters ``c±1``, chaining the whole network together.  Like
-    :func:`stream_grid_network` this is O(1) memory per node and emits both
-    directions of every undirected edge, so it streams at any scale.
-    """
-    if num_clusters < 1 or cluster_size < 3:
-        raise GraphError("need at least 1 cluster of at least 3 nodes")
-    side = max(int(math.ceil(math.sqrt(num_clusters))), 1)
-
-    def point(node_id: int) -> Tuple[float, float]:
-        cluster, local = divmod(node_id, cluster_size)
-        center_x = (cluster % side) * spacing
-        center_y = (cluster // side) * spacing
-        r = radius * (1.0 + _unit_hash(seed, node_id, 0) * jitter)
-        theta = 2.0 * math.pi * local / cluster_size
-        return center_x + r * math.cos(theta), center_y + r * math.sin(theta)
-
-    total = num_clusters * cluster_size
-    for node_id in range(total):
-        cluster, local = divmod(node_id, cluster_size)
-        x, y = point(node_id)
-        targets: List[int] = [
-            cluster * cluster_size + (local - 1) % cluster_size,
-            cluster * cluster_size + (local + 1) % cluster_size,
-        ]
-        if local == 0:
-            if cluster > 0:
-                targets.append((cluster - 1) * cluster_size)
-            if cluster + 1 < num_clusters:
-                targets.append((cluster + 1) * cluster_size)
-        neighbors: List[Tuple[int, float]] = []
-        for target in sorted(set(targets) - {node_id}):
-            tx, ty = point(target)
-            neighbors.append((target, max(math.hypot(tx - x, ty - y), 1e-9)))
-        yield node_id, x, y, neighbors
-
-
-def network_from_records(records: Iterable[NodeRecord]) -> RoadNetwork:
-    """Materialize a stream of :data:`NodeRecord` tuples into a network.
-
-    Intended for test-scale streams (it holds the whole network in RAM); edges
-    are buffered until all nodes exist, then added directed exactly as the
-    records listed them.
-    """
-    network = RoadNetwork()
-    edges: List[Tuple[int, int, float]] = []
-    for node_id, x, y, neighbors in records:
-        network.add_node(node_id, x, y)
-        edges.extend((node_id, target, weight) for target, weight in neighbors)
-    for source, target, weight in edges:
-        network.add_edge(source, target, weight)
-    return network
 
 
 def _delaunay_edges(points) -> List[Tuple[int, int]]:

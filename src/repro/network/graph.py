@@ -152,20 +152,9 @@ class RoadNetwork:
                 return weight
         raise GraphError(f"no edge from {source} to {target}")
 
-    def has_edge(self, source: NodeId, target: NodeId) -> bool:
-        return any(neighbor == target for neighbor, _ in self.neighbors(source))
-
     def euclidean_distance(self, a: NodeId, b: NodeId) -> float:
         """Euclidean distance between two nodes (used by A* heuristics)."""
         return self.node(a).distance_to(self.node(b))
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """Return ``(min_x, min_y, max_x, max_y)`` of the node coordinates."""
-        if not self._nodes:
-            raise GraphError("bounding box of an empty network is undefined")
-        xs = [node.x for node in self._nodes.values()]
-        ys = [node.y for node in self._nodes.values()]
-        return min(xs), min(ys), max(xs), max(ys)
 
     def nearest_node(self, x: float, y: float) -> NodeId:
         """Return the id of the node closest to point ``(x, y)``.
@@ -227,25 +216,6 @@ class RoadNetwork:
         if not self._nodes:
             raise GraphError("empty network has no node ids")
         return max(self._nodes)
-
-    def is_connected(self) -> bool:
-        """True when every node is reachable from an arbitrary start node.
-
-        The generators produce symmetric edges, so simple reachability is an
-        adequate connectivity check for them.
-        """
-        if not self._nodes:
-            return True
-        start = next(iter(self._nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbor, _ in self._adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == len(self._nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoadNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

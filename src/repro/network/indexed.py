@@ -52,7 +52,6 @@ class CsrGraph:
         "heuristic_safe",
         "_index_of",
         "_adjacency",
-        "_reverse",
         "_scipy_matrix",
         "_identity_ids",
     )
@@ -84,7 +83,6 @@ class CsrGraph:
             else {node_id: dense for dense, node_id in enumerate(node_ids)}
         )
         self._adjacency: Optional[List[Tuple[Tuple[float, int], ...]]] = None
-        self._reverse: Optional["CsrGraph"] = None
         self._scipy_matrix = None
         self._identity_ids: Optional[bool] = None
 
@@ -138,9 +136,6 @@ class CsrGraph:
         except KeyError:
             raise GraphError(f"unknown node {node_id}") from None
 
-    def original_id(self, dense: int) -> NodeId:
-        return self.node_ids[dense]
-
     @property
     def identity_ids(self) -> bool:
         """True when dense and original ids coincide (ids were 0..n-1 in order)."""
@@ -167,38 +162,6 @@ class CsrGraph:
             ]
             self._adjacency = adjacency
         return adjacency
-
-    def reverse(self) -> "CsrGraph":
-        """The transposed graph (cached); shares node ids and coordinates."""
-        if self._reverse is None:
-            n = len(self.node_ids)
-            offsets, targets, weights = self.offsets, self.targets, self.weights
-            reverse_lists: List[List[Tuple[float, int]]] = [[] for _ in range(n)]
-            for u in range(n):
-                for k in range(offsets[u], offsets[u + 1]):
-                    reverse_lists[targets[k]].append((weights[k], u))
-            roffsets = array("q", [0])
-            rtargets = array("q")
-            rweights = array("d")
-            for edges in reverse_lists:
-                for weight, target in edges:
-                    rtargets.append(target)
-                    rweights.append(weight)
-                roffsets.append(len(rtargets))
-            reverse = CsrGraph(
-                self.node_ids,
-                roffsets,
-                rtargets,
-                rweights,
-                self.xs,
-                self.ys,
-                self._index_of,
-                heuristic_safe=self.heuristic_safe,
-            )
-            reverse._adjacency = [tuple(edges) for edges in reverse_lists]
-            reverse._reverse = self
-            self._reverse = reverse
-        return self._reverse
 
     def scipy_csgraph(self):
         """The graph as a ``scipy.sparse.csr_matrix`` (cached), or ``None``.
@@ -384,11 +347,6 @@ def scipy_dijkstra_arrays(csr: CsrGraph, source: int):
     return dist, predecessors
 
 
-def build_csr(network: RoadNetwork) -> CsrGraph:
-    """Compile ``network`` to CSR form (uncached)."""
-    return CsrGraph.from_network(network)
-
-
 def csr_for(network: RoadNetwork) -> CsrGraph:
     """The compiled CSR form of ``network``, cached on the network object.
 
@@ -457,81 +415,6 @@ def dijkstra_arrays(
                 if track:
                     stats.relaxed_edges += 1
     return dist, parent, touched
-
-
-def bidirectional_arrays(
-    csr: CsrGraph,
-    source: int,
-    target: int,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Tuple[float, List[int]]]:
-    """Bidirectional Dijkstra between dense ids.
-
-    Returns ``(cost, dense_node_sequence)`` or ``None`` when no path exists.
-    Unlike the reference implementation, search statistics are recorded for
-    both directions: every settle counts toward ``settled_nodes`` and is
-    appended to ``visited_nodes``, and every successful relaxation counts
-    toward ``relaxed_edges``.
-    """
-    forward_adj = csr.adjacency()
-    backward_adj = csr.reverse().adjacency()
-    n = len(forward_adj)
-    dist_f = [_INF] * n
-    dist_b = [_INF] * n
-    parent_f = [-1] * n
-    parent_b = [-1] * n
-    dist_f[source] = 0.0
-    dist_b[target] = 0.0
-    heap_f: List[Tuple[float, int]] = [(0.0, source)]
-    heap_b: List[Tuple[float, int]] = [(0.0, target)]
-    best = _INF
-    meeting = -1
-    push, pop = heapq.heappush, heapq.heappop
-    track = stats is not None
-    node_ids = csr.node_ids
-
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            heap, dist, parent, adjacency, other = heap_f, dist_f, parent_f, forward_adj, dist_b
-        else:
-            heap, dist, parent, adjacency, other = heap_b, dist_b, parent_b, backward_adj, dist_f
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        if track:
-            stats.settled_nodes += 1
-            stats.visited_nodes.append(node_ids[u])
-        for w, v in adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-                if track:
-                    stats.relaxed_edges += 1
-            other_d = other[v]
-            if other_d < _INF:
-                total = dist[v] + other_d
-                if total < best:
-                    best = total
-                    meeting = v
-
-    if meeting < 0:
-        return None
-
-    nodes: List[int] = []
-    u = meeting
-    while u >= 0:
-        nodes.append(u)
-        u = parent_f[u]
-    nodes.reverse()
-    u = parent_b[meeting]
-    while u >= 0:
-        nodes.append(u)
-        u = parent_b[u]
-    return best, nodes
 
 
 def astar_arrays(

@@ -1,36 +1,20 @@
 """Plain-text serialization of road networks.
 
-Two formats are supported:
-
-* The node/edge file convention of the Brinkhoff generator datasets
-  (``v <node_id> <x> <y>`` / ``e <source> <target> <weight>`` lines, ``#``
-  comments) via :func:`write_network`/:func:`read_network`.
-* The 9th DIMACS Implementation Challenge format used by the real road
-  networks the paper evaluates on (``.gr`` graph files with ``p sp <n> <m>``
-  and ``a <u> <v> <w>`` lines, optional ``.co`` coordinate files with
-  ``v <id> <x> <y>`` lines, 1-based ids, integer weights/coordinates) via
-  :func:`write_dimacs`/:func:`read_dimacs`, plus the streaming
-  :func:`iter_dimacs_records` that feeds continental-scale inputs straight
-  into :func:`repro.storage.stream_node_database`.
-
-All functions work with paths or open file objects.
+The format is the node/edge file convention of the Brinkhoff generator
+datasets: ``v <node_id> <x> <y>`` / ``e <source> <target> <weight>`` lines and
+``#`` comments, via :func:`write_network`/:func:`read_network`.  Both work with
+paths or open file objects.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path as FilePath
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import TextIO, Union
 
 from ..exceptions import GraphError
-from .generators import NodeRecord
 from .graph import RoadNetwork
 
 PathLike = Union[str, FilePath]
-
-#: Default fixed-point factor between float weights/coordinates and the
-#: integer values DIMACS files carry.
-DIMACS_SCALE = 1000.0
 
 
 def write_network(network: RoadNetwork, destination: Union[PathLike, TextIO]) -> None:
@@ -48,18 +32,6 @@ def read_network(source: Union[PathLike, TextIO]) -> RoadNetwork:
         return _read_stream(source)  # type: ignore[arg-type]
     with open(source, "r", encoding="utf-8") as stream:
         return _read_stream(stream)
-
-
-def network_to_string(network: RoadNetwork) -> str:
-    """Serialize a network to a string (round-trips with :func:`network_from_string`)."""
-    buffer = io.StringIO()
-    _write_stream(network, buffer)
-    return buffer.getvalue()
-
-
-def network_from_string(text: str) -> RoadNetwork:
-    """Parse a network from the string produced by :func:`network_to_string`."""
-    return _read_stream(io.StringIO(text))
 
 
 def _write_stream(network: RoadNetwork, stream: TextIO) -> None:
@@ -93,188 +65,3 @@ def _read_stream(stream: TextIO) -> RoadNetwork:
     for source, target, weight in pending_edges:
         network.add_edge(source, target, weight)
     return network
-
-
-# --------------------------------------------------------------------------- #
-# DIMACS shortest-path challenge format
-# --------------------------------------------------------------------------- #
-def write_dimacs(
-    network: RoadNetwork,
-    gr_destination: Union[PathLike, TextIO],
-    co_destination: Union[PathLike, TextIO, None] = None,
-    scale: float = DIMACS_SCALE,
-) -> None:
-    """Write ``network`` as a DIMACS ``.gr`` file (and optionally a ``.co`` file).
-
-    Node ids are shifted to the 1-based DIMACS convention and weights and
-    coordinates are rounded to integers after multiplying by ``scale``.  Arc
-    lines are grouped by source node, which is what
-    :func:`iter_dimacs_records` relies on to stream the file back.
-    """
-    with _text_sink(gr_destination) as stream:
-        stream.write("c repro road network export\n")
-        stream.write(f"p sp {network.num_nodes} {network.num_edges}\n")
-        for node in sorted(network.nodes(), key=lambda n: n.node_id):
-            for neighbor, weight in network.neighbors(node.node_id):
-                stream.write(
-                    f"a {node.node_id + 1} {neighbor + 1} "
-                    f"{max(int(round(weight * scale)), 1)}\n"
-                )
-    if co_destination is None:
-        return
-    with _text_sink(co_destination) as stream:
-        stream.write("c repro road network coordinates\n")
-        stream.write(f"p aux sp co {network.num_nodes}\n")
-        for node in sorted(network.nodes(), key=lambda n: n.node_id):
-            stream.write(
-                f"v {node.node_id + 1} "
-                f"{int(round(node.x * scale))} {int(round(node.y * scale))}\n"
-            )
-
-
-def read_dimacs(
-    gr_source: Union[PathLike, TextIO],
-    co_source: Union[PathLike, TextIO, None] = None,
-    scale: float = DIMACS_SCALE,
-) -> RoadNetwork:
-    """Read a DIMACS ``.gr`` (and optional ``.co``) pair into a network.
-
-    Ids come back 0-based; integer weights/coordinates are divided by
-    ``scale``.  Without a coordinate file every node sits at the origin (the
-    Euclidean heuristic then degenerates to zero, which stays admissible).
-    Materializes the whole network — for inputs larger than RAM use
-    :func:`iter_dimacs_records` with an out-of-core page store instead.
-    """
-    coordinates = _read_dimacs_coordinates(co_source, scale) if co_source is not None else {}
-    network = RoadNetwork()
-    pending: List[Tuple[int, int, float]] = []
-    declared_nodes = 0
-    with _text_source(gr_source) as stream:
-        for line_number, parts in _dimacs_lines(stream):
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "sp":
-                    raise GraphError(f"line {line_number}: malformed problem line")
-                declared_nodes = int(parts[2])
-            elif parts[0] == "a":
-                if len(parts) != 4:
-                    raise GraphError(f"line {line_number}: malformed arc line")
-                pending.append((int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) / scale))
-            else:
-                raise GraphError(
-                    f"line {line_number}: unknown DIMACS record type {parts[0]!r}"
-                )
-    for node_id in range(declared_nodes):
-        x, y = coordinates.get(node_id, (0.0, 0.0))
-        network.add_node(node_id, x, y)
-    for source, target, weight in pending:
-        network.add_edge(source, target, weight)
-    return network
-
-
-def iter_dimacs_records(
-    gr_source: Union[PathLike, TextIO],
-    co_source: Union[PathLike, TextIO, None] = None,
-    scale: float = DIMACS_SCALE,
-) -> Iterator[NodeRecord]:
-    """Stream a DIMACS graph as :data:`~repro.network.generators.NodeRecord`\\ s.
-
-    This is the out-of-core import path: pipe the records into
-    :func:`repro.storage.stream_node_database` and only O(nodes) coordinate
-    floats — never the arc list — stay resident.  Arc lines must be grouped
-    by source node (DIMACS exports, including :func:`write_dimacs`, are);
-    a source that reappears after its group ended raises
-    :class:`~repro.exceptions.GraphError`.  Nodes without outgoing arcs are
-    emitted with empty adjacency after the arc pass.
-    """
-    coordinates = _read_dimacs_coordinates(co_source, scale) if co_source is not None else {}
-
-    def coords(node_id: int) -> Tuple[float, float]:
-        return coordinates.get(node_id, (0.0, 0.0))
-
-    declared_nodes = 0
-    emitted = set()
-    current: Optional[int] = None
-    neighbors: List[Tuple[int, float]] = []
-    with _text_source(gr_source) as stream:
-        for line_number, parts in _dimacs_lines(stream):
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "sp":
-                    raise GraphError(f"line {line_number}: malformed problem line")
-                declared_nodes = int(parts[2])
-                continue
-            if parts[0] != "a":
-                raise GraphError(
-                    f"line {line_number}: unknown DIMACS record type {parts[0]!r}"
-                )
-            if len(parts) != 4:
-                raise GraphError(f"line {line_number}: malformed arc line")
-            source = int(parts[1]) - 1
-            if source != current:
-                if current is not None:
-                    x, y = coords(current)
-                    emitted.add(current)
-                    yield current, x, y, neighbors
-                if source in emitted:
-                    raise GraphError(
-                        f"line {line_number}: arcs of node {source} are not "
-                        "grouped; streaming import needs source-grouped arc lines"
-                    )
-                current, neighbors = source, []
-            neighbors.append((int(parts[2]) - 1, int(parts[3]) / scale))
-    if current is not None:
-        x, y = coords(current)
-        emitted.add(current)
-        yield current, x, y, neighbors
-    for node_id in range(max(declared_nodes, len(coordinates))):
-        if node_id not in emitted:
-            x, y = coords(node_id)
-            yield node_id, x, y, []
-
-
-def _read_dimacs_coordinates(
-    co_source: Union[PathLike, TextIO], scale: float
-) -> Dict[int, Tuple[float, float]]:
-    coordinates: Dict[int, Tuple[float, float]] = {}
-    with _text_source(co_source) as stream:
-        for line_number, parts in _dimacs_lines(stream):
-            if parts[0] == "p":
-                continue
-            if parts[0] != "v" or len(parts) != 4:
-                raise GraphError(f"line {line_number}: malformed coordinate line")
-            coordinates[int(parts[1]) - 1] = (int(parts[2]) / scale, int(parts[3]) / scale)
-    return coordinates
-
-
-def _dimacs_lines(stream: TextIO) -> Iterator[Tuple[int, List[str]]]:
-    """Yield ``(line_number, fields)`` for every non-comment DIMACS line."""
-    for line_number, raw_line in enumerate(stream, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield line_number, line.split()
-
-
-class _text_source:
-    """``with``-manager over a path or an already-open text stream."""
-
-    def __init__(self, source: Union[PathLike, TextIO]) -> None:
-        self._source = source
-        self._owned: Optional[TextIO] = None
-
-    def __enter__(self) -> TextIO:
-        if hasattr(self._source, "read"):
-            return self._source  # type: ignore[return-value]
-        self._owned = open(self._source, "r", encoding="utf-8")
-        return self._owned
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._owned is not None:
-            self._owned.close()
-
-
-class _text_sink(_text_source):
-    def __enter__(self) -> TextIO:
-        if hasattr(self._source, "write"):
-            return self._source  # type: ignore[return-value]
-        self._owned = open(self._source, "w", encoding="utf-8")
-        return self._owned

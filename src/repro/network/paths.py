@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..exceptions import GraphError
-from .graph import NodeId, RoadNetwork
+from .graph import NodeId
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @staticmethod
-    def from_nodes(network: RoadNetwork, nodes: Sequence[NodeId]) -> "Path":
-        """Build a path from a node sequence, validating edges and summing cost."""
-        if not nodes:
-            raise GraphError("a path needs at least one node")
-        cost = 0.0
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            cost += network.edge_weight(a, b)
-        return Path(tuple(nodes), cost)
-
-
-def validate_path(network: RoadNetwork, path: Path) -> None:
-    """Raise :class:`GraphError` unless ``path`` is a valid path in ``network``
-    whose stated cost matches the summed edge weights."""
-    rebuilt = Path.from_nodes(network, path.nodes)
-    if abs(rebuilt.cost - path.cost) > 1e-6 * max(1.0, abs(rebuilt.cost)):
-        raise GraphError(
-            f"path cost {path.cost} does not match edge-weight sum {rebuilt.cost}"
-        )
-
 
 @dataclass
 class SearchStats:

@@ -37,26 +37,11 @@ class BorderNodeIndex:
     #: For each border node, the original undirected edge it subdivides.
     original_edge_of_border: Dict[NodeId, Tuple[NodeId, NodeId]]
 
-    @property
-    def num_border_nodes(self) -> int:
-        return len(self.regions_of_border)
-
     def is_border(self, node_id: NodeId) -> bool:
         return node_id in self.regions_of_border
 
     def border_nodes(self) -> List[NodeId]:
         return list(self.regions_of_border.keys())
-
-    def regions_of_node(self, partitioning: Partitioning, node_id: NodeId) -> Tuple[RegionId, ...]:
-        """Regions a node of the augmented network belongs to.
-
-        Original nodes belong to exactly one region; border nodes lie on a
-        boundary and belong to both adjacent regions.
-        """
-        if node_id in self.regions_of_border:
-            return self.regions_of_border[node_id]
-        return (partitioning.region_of_node(node_id),)
-
 
 def compute_border_nodes(network: RoadNetwork, partitioning: Partitioning) -> BorderNodeIndex:
     """Insert border nodes on every inter-region edge and index them by region.

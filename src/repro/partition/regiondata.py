@@ -23,6 +23,7 @@ from typing import List, NamedTuple, Tuple
 from ..exceptions import StorageError
 from ..network import NodeId, RoadNetwork
 from ..storage import decode_varint, encode_varint
+from ..storage.record import check_edge_weights
 
 
 def node_record_size(network: RoadNetwork, node_id: NodeId) -> int:
@@ -80,7 +81,8 @@ def decode_region_payload(data: bytes) -> RegionColumns:
     inline and the degree column as one slice when it is all ASCII; a
     continuation byte falls back to :func:`decode_varint`.  A count or a
     degree sum that runs past the end of the data raises
-    :class:`StorageError` before anything is unpacked.
+    :class:`StorageError` before anything is unpacked, and so does a weight
+    that is not finite and positive.
     """
     end = len(data)
     count = data[0] if end else 0x80
@@ -109,4 +111,5 @@ def decode_region_payload(data: bytes) -> RegionColumns:
         raise StorageError("region payload truncated inside its adjacency columns")
     neighbours = struct.unpack_from(f"<{edge_count}I", data, pos)
     weights = struct.unpack_from(f"<{edge_count}f", data, pos + 4 * edge_count)
+    check_edge_weights(weights)
     return RegionColumns(ids, xy, degrees, neighbours, weights)

@@ -100,20 +100,8 @@ class Partitioning:
         return node.region_id
 
     # ------------------------------------------------------------------ #
-    # consistency and serialization helpers
+    # serialization
     # ------------------------------------------------------------------ #
-    def validate(self) -> None:
-        """Check that the split tree and the node assignment agree."""
-        for region in self._regions:
-            for node_id in region.node_ids:
-                node = self.network.node(node_id)
-                mapped = self.region_of_point(node.x, node.y)
-                if mapped != region.region_id:
-                    raise PartitionError(
-                        f"node {node_id} is stored in region {region.region_id} but the "
-                        f"split tree maps its coordinates to region {mapped}"
-                    )
-
     def tree_splits(self) -> List[Tuple[int, int, float, int, int]]:
         """Flatten the tree to a list of records for header serialization.
 
@@ -137,19 +125,6 @@ class Partitioning:
         visit(self.tree)
         return records
 
-    @staticmethod
-    def tree_from_splits(records: Sequence[Tuple[int, int, float, int, int]]) -> TreeNode:
-        """Rebuild the split tree from :meth:`tree_splits` records."""
-        if not records:
-            raise PartitionError("empty split-tree description")
-
-        def build(index: int) -> TreeNode:
-            _, axis, value, left, right = records[index]
-            if axis == 2:
-                return LeafNode(left)
-            return SplitNode(axis, value, build(left), build(right))
-
-        return build(0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Partitioning(regions={self.num_regions})"

@@ -33,14 +33,6 @@ class AdversaryView:
 
     events: Tuple[AdversaryEvent, ...]
 
-    def accesses_per_file(self) -> Dict[str, int]:
-        """Number of PIR page accesses per file."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            if event.kind == "pir":
-                counts[event.file_name] = counts.get(event.file_name, 0) + 1
-        return counts
-
     def num_rounds(self) -> int:
         return max((event.round_number for event in self.events), default=0)
 
@@ -68,10 +60,6 @@ class AccessTrace:
     def begin_round(self) -> int:
         """Start a new processing round; returns its (1-based) number."""
         self._round += 1
-        return self._round
-
-    @property
-    def current_round(self) -> int:
         return self._round
 
     def record_header_download(self, num_bytes: int) -> None:
@@ -110,11 +98,3 @@ class AccessTrace:
 
     def total_pir_accesses(self) -> int:
         return len(self._private_pages)
-
-    def rounds_summary(self) -> List[Dict[str, int]]:
-        """Per-round dictionary of file → number of PIR accesses."""
-        summary: List[Dict[str, int]] = [dict() for _ in range(self._round)]
-        for round_number, file_name, _ in self._private_pages:
-            per_round = summary[round_number - 1]
-            per_round[file_name] = per_round.get(file_name, 0) + 1
-        return summary

@@ -495,11 +495,6 @@ class PackedDatabase:
 ServerKernel = Union[BigIntKernel, PackedDatabase]
 
 
-def is_kernel(obj: object) -> bool:
-    """Whether ``obj`` is a prebuilt server kernel (vs. a block sequence)."""
-    return isinstance(obj, (BigIntKernel, PackedDatabase))
-
-
 def make_kernel(blocks: Sequence[bytes], kernel: Optional[str] = None) -> ServerKernel:
     """Build the selected kernel over an in-memory block database."""
     if resolve_kernel(kernel) == "numpy":

@@ -115,10 +115,6 @@ class OramServer:
         self.access_log.append(("write", slot))
         self._slots[slot] = bytes(data)
 
-    def slots_touched(self) -> List[int]:
-        """Physical slots in the order they were accessed (duplicates preserved)."""
-        return [slot for _, slot in self.access_log]
-
     def clear_log(self) -> None:
         self.access_log.clear()
 
@@ -351,4 +347,3 @@ class SquareRootOram:
             self._epoch += 1
             self._install_permutation()
         return value
-

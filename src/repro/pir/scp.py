@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..costmodel import DEFAULT_SPEC, SystemSpec, pir_page_retrieval_time
+from ..costmodel import DEFAULT_SPEC, SystemSpec
 from ..exceptions import FileSizeLimitError, PirError
 from ..storage import Database, PageFile
 from .access_log import AccessTrace
@@ -98,18 +98,6 @@ class UsablePirSimulator:
         self.log_queries = log_queries
         self.queries_seen: List[Tuple[str, frozenset]] = []
         self._kernel_rng = random.Random(kernel_seed)
-        self._pir_time_s = 0.0
-
-    @property
-    def simulated_pir_time_s(self) -> float:
-        """Total simulated PIR time accumulated so far."""
-        return self._pir_time_s
-
-    def reset_time(self) -> None:
-        self._pir_time_s = 0.0
-
-    def file_page_counts(self) -> Dict[str, int]:
-        return {name: self.database.file(name).num_pages for name in self.database.file_names()}
 
     def retrieve_page(
         self, file_name: str, page_number: int, trace: Optional[AccessTrace] = None
@@ -142,9 +130,6 @@ class UsablePirSimulator:
                     f"({num_pages} pages)"
                 )
         results = self._read_pages(page_file, page_numbers)
-        page_time_s = pir_page_retrieval_time(num_pages, self.spec)
-        for _ in page_numbers:
-            self._pir_time_s += page_time_s
         if trace is not None:
             trace.record_pir_accesses(file_name, page_numbers)
         return results

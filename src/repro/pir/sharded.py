@@ -165,9 +165,8 @@ class ShardedPageStore:
     ``(shard, local page)`` coordinate back to the logical page number and
     reads it from the backing :class:`~repro.storage.stores.PageStore`
     (which may be in memory, mmap or SQLite).  Sharding therefore adds zero
-    resident page bytes regardless of shard count (asserted by the tests;
-    see :attr:`resident_page_bytes`).  The view carries no per-connection
-    state, so one store is safely shared by every
+    resident page bytes regardless of shard count.  The view carries no
+    per-connection state, so one store is safely shared by every
     :class:`ShardedPirSimulator` built over it — the query engine builds one
     per engine and hands it to all worker contexts.
     """
@@ -277,17 +276,6 @@ class ShardedPageStore:
             kernel=kernel,
             cache_key=("shard", shard_id, file_map.num_shards, self.strategy),
         )
-
-    @property
-    def resident_page_bytes(self) -> int:
-        """Page bytes this view holds beyond the backing stores — always 0.
-
-        The pre-refactor store copied every page into per-shard dicts,
-        doubling resident memory; the view keeps only shard maps and file
-        references, so sharding is free regardless of shard count.
-        """
-        return 0
-
 
 class ShardTransport(Protocol):
     """Carries a shard read's two shares to the shard and the XOR of their
@@ -460,21 +448,6 @@ class ShardedPirSimulator(UsablePirSimulator):
         """``(shard, local page)`` serving a logical page — what a sharded
         deployment's adversary would additionally observe."""
         return self.store.locate(file_name, page_number)
-
-    def shard_page_counts(self) -> List[Dict[str, int]]:
-        """Per-shard ``{file_name: pages owned}`` (storage balance)."""
-        return [
-            {
-                name: shard.num_pages(name)
-                for name in self.store.maps
-                if shard.num_pages(name)
-            }
-            for shard in self.shards
-        ]
-
-    def shard_load(self) -> List[int]:
-        """Pages served so far by each shard connection (serving balance)."""
-        return [shard.pages_served for shard in self.shards]
 
     def _read_pages(self, page_file: "PageFile", page_numbers: List[int]) -> List[bytes]:
         """Each shard serves its sub-batch independently — the part a real

@@ -45,14 +45,6 @@ class ArcFlagIndex:
             bits[region // 8] |= 1 << (region % 8)
         return bytes(bits)
 
-    def flag_fraction(self) -> float:
-        """Average fraction of set bits per edge (a measure of pruning power)."""
-        if not self.flags:
-            return 0.0
-        total = sum(len(regions) for regions in self.flags.values())
-        return total / (len(self.flags) * self.num_regions)
-
-
 def build_arc_flags(
     network: RoadNetwork,
     partitioning: Partitioning,

@@ -49,21 +49,6 @@ class SparsificationStats:
     exact_edges: int = 0
     kept_edges: int = 0
 
-    @property
-    def selection_ratio(self) -> float:
-        """Fraction of border pairs whose exact path had to be materialised."""
-        if self.pairs_total == 0:
-            return 0.0
-        return self.pairs_selected / self.pairs_total
-
-    @property
-    def edge_ratio(self) -> float:
-        """Kept edges as a fraction of the exact passage-subgraph edges."""
-        if self.exact_edges == 0:
-            return 0.0
-        return self.kept_edges / self.exact_edges
-
-
 @dataclass
 class ApproximateProducts:
     """Approximate passage subgraphs plus the deviation bound they honour."""
@@ -131,15 +116,11 @@ def _candidate_paths(
                 if target_border == source_border or not tree.has_path_to(target_border):
                     continue
                 cost = tree.distance_to(target_border)
-                edges: List[Tuple[NodeId, NodeId, float]] = []
-                node = target_border
-                while node != source_border:
-                    parent = tree.parents[node]
-                    edges.append(
-                        (parent, node, tree.distances[node] - tree.distances[parent])
-                    )
-                    node = parent
-                edges.reverse()
+                nodes = tree.path_to(target_border).nodes
+                edges = [
+                    (parent, node, tree.distances[node] - tree.distances[parent])
+                    for parent, node in zip(nodes, nodes[1:])
+                ]
                 candidate: _Candidate = (cost, source_border, target_border, tuple(edges))
                 for source_region in source_regions:
                     key = (source_region, destination_region)

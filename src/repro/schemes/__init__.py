@@ -19,7 +19,6 @@ from .files import (
     LOOKUP_FILE,
     build_lookup_file,
     build_region_data_file,
-    decode_region_pages,
     read_lookup_entry,
 )
 from .hybrid import HybridScheme
@@ -28,7 +27,6 @@ from .index_entries import (
     IndexFileBuilder,
     decode_index_entry,
     resolve_page_image,
-    resolved_entries_at,
 )
 from .landmark_scheme import LandmarkScheme, generate_plan_pairs
 from .obfuscation import ObfuscationResult, ObfuscationScheme
@@ -60,12 +58,10 @@ __all__ = [
     "build_lookup_file",
     "build_region_data_file",
     "decode_index_entry",
-    "decode_region_pages",
     "generate_plan_pairs",
     "measure_cost_deviation",
     "read_lookup_entry",
     "resolve_page_image",
-    "resolved_entries_at",
     "response_time_from_trace",
     "verify_plan_conformance",
 ]

@@ -248,10 +248,6 @@ class Scheme(abc.ABC):
     # common helpers
     # ------------------------------------------------------------------ #
     @property
-    def storage_bytes(self) -> int:
-        return self.database.total_size_bytes
-
-    @property
     def storage_mb(self) -> float:
         return self.database.total_size_mb
 
@@ -261,11 +257,6 @@ class Scheme(abc.ABC):
             pir, rng = override
             return RoundManager(pir, trace, rng)
         return RoundManager(self.pir, trace, self._dummy_rng)
-
-    def exceeds_pir_file_limit(self) -> bool:
-        """True when any PIR-accessible file exceeds the interface's maximum size."""
-        scp = SecureCoprocessor(self.spec)
-        return any(not scp.supports_file(f) for f in self.database.files())
 
     def finish_query(
         self,

@@ -16,7 +16,6 @@ to contain the shortest path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..costmodel import DEFAULT_SPEC, SystemSpec
@@ -49,15 +48,6 @@ from .plan import QueryPlan, RoundSpec
 
 #: Bytes reserved in each page for the region payload's own framing.
 _PAYLOAD_RESERVE = 8
-
-
-@dataclass
-class CiBuildArtifacts:
-    """Intermediate products that may be shared between scheme builds."""
-
-    partitioning: Partitioning
-    border_index: BorderNodeIndex
-    products: BorderProducts
 
 
 class ConciseIndexScheme(Scheme):

@@ -18,7 +18,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import SchemeError, StorageError
 from ..network import RoadNetwork
@@ -426,16 +426,6 @@ def build_region_data_file(
             if chunk:
                 page.append(chunk)
     return data_file
-
-
-def decode_region_pages(pages: Sequence[bytes]):
-    """Decode the columns of one region from its (concatenated) pages.
-
-    When the query engine has a decode cache installed, identical page
-    contents (the common case for repeated region fetches within a workload)
-    are decoded once and shared; callers must not mutate the returned columns.
-    """
-    return decode_region_bytes(b"".join(pages))
 
 
 def decode_region_bytes(payload: bytes):

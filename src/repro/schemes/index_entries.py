@@ -18,10 +18,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemeError, StorageError
 from ..storage import Page, PageFile, RecordReader, RecordWriter, encode_varint
+from ..storage.record import check_edge_weights
 
 RegionPair = Tuple[int, int]
 WeightedEdge = Tuple[int, int, float]
@@ -52,11 +54,6 @@ class IndexEntry:
     regions: Optional[FrozenSet[int]]
     #: Effective edge set (possibly inflated by compression); ``None`` for region sets.
     edges: Optional[FrozenSet[WeightedEdge]]
-
-    @property
-    def is_region_set(self) -> bool:
-        return self.regions is not None
-
 
 @dataclass
 class _PlacedEntry:
@@ -352,6 +349,8 @@ def _decode_page_entries(page_bytes: bytes) -> List[_RawDecodedEntry]:
             edges = body.edge_list(count)
         else:
             raise StorageError(f"unknown index entry kind {kind}")
+        if edges:
+            check_edge_weights(list(map(itemgetter(2), edges)))
         entries.append(_RawDecodedEntry((i, j), kind, reference_position, regions, exclusions, edges))
     return entries
 
@@ -394,26 +393,12 @@ def _resolve_page(entries: List[_RawDecodedEntry]) -> List[IndexEntry]:
 
 
 def resolve_page_image(page_bytes: bytes) -> List[IndexEntry]:
-    """Pure resolver: decode and delta-resolve one index page image.
+    """Decode and delta-resolve one index page image (no caching).
 
-    This is the resolver the storage layer memoises per page number
-    (:meth:`~repro.storage.stores.PageStore.resolve`), so the resolved entry
-    list lives *with the bytes* in the page store instead of in a byte-keyed
-    client cache — the client-side path below still uses the per-worker
-    decode cache, because PIR-fetched bytes carry no page identity.
+    :func:`resolved_page_entries` memoises it in the per-worker decode
+    cache, keyed by the bytes: PIR-fetched pages carry no page identity.
     """
     return _resolve_page(_decode_page_entries(bytes(page_bytes)))
-
-
-def resolved_entries_at(page_file: PageFile, page_number: int) -> List[IndexEntry]:
-    """Store-memoised resolution of one index page, by page number.
-
-    Server-side consumers (builders, inspection tools, the out-of-core
-    example) resolve through the page store's own cache; repeated resolution
-    of a page neither re-reads nor re-decodes it, on any backend.  Entries
-    are frozen dataclasses and safe to share.
-    """
-    return page_file.resolve_page(page_number, resolve_page_image)
 
 
 def resolved_page_entries(page_bytes: bytes) -> List[IndexEntry]:

@@ -31,11 +31,6 @@ class ObfuscationResult:
     obfuscation_set_size: int
     candidate_paths: int
 
-    @property
-    def total_seconds(self) -> float:
-        return self.response.total_s
-
-
 class ObfuscationScheme:
     """The OBF baseline (weak privacy; no PIR involved)."""
 

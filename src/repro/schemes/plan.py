@@ -25,9 +25,6 @@ class RoundSpec:
     #: Whether the round begins with the full (non-PIR) header download.
     includes_header: bool = False
 
-    def pages_for(self, file_name: str) -> int:
-        return sum(count for name, count in self.fetches if name == file_name)
-
     @property
     def total_pages(self) -> int:
         return sum(count for _, count in self.fetches)

@@ -18,7 +18,6 @@ from .client import ConnectionPool, RemotePirSimulator, ShardConnection, TcpShar
 from .loadgen import LoadReport, run_loadgen, run_loadgen_multiproc
 from .server import ShardCluster, ShardServer
 from .wire import (
-    FrameDecoder,
     RemoteServerError,
     ServerBusy,
     ShardInfo,
@@ -27,7 +26,6 @@ from .wire import (
 
 __all__ = [
     "ConnectionPool",
-    "FrameDecoder",
     "LoadReport",
     "RemotePirSimulator",
     "RemoteServerError",

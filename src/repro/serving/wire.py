@@ -132,42 +132,6 @@ def encode_frame(payload: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> byte
     return _HEADER.pack(len(payload)) + payload
 
 
-class FrameDecoder:
-    """Incremental frame parser over an arbitrarily chunked byte stream.
-
-    Feed it whatever the transport delivered; it returns every payload
-    completed so far and buffers the remainder.  An announced length above
-    the cap raises :class:`WireError` immediately — before buffering the
-    body — so a hostile peer cannot make the decoder allocate it.
-    """
-
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self._max_frame_bytes = max_frame_bytes
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[bytes]:
-        self._buffer.extend(data)
-        payloads: List[bytes] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return payloads
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > self._max_frame_bytes:
-                raise WireError(
-                    f"announced frame payload of {length} bytes exceeds the "
-                    f"{self._max_frame_bytes}-byte frame cap"
-                )
-            if len(self._buffer) < _HEADER.size + length:
-                return payloads
-            payloads.append(bytes(self._buffer[_HEADER.size : _HEADER.size + length]))
-            del self._buffer[: _HEADER.size + length]
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards the next (incomplete) frame."""
-        return len(self._buffer)
-
-
 # ---------------------------------------------------------------------- #
 # primitive field packing
 # ---------------------------------------------------------------------- #

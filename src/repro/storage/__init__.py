@@ -1,10 +1,8 @@
 """Paged storage substrate: pages, record codecs, page files and databases."""
 
 from .compression import (
-    compression_ratio,
     delta_decode_ids,
     delta_encode_ids,
-    dequantize_weights,
     quantize_weights,
     zigzag_decode,
     zigzag_encode,
@@ -14,7 +12,6 @@ from .page import DEFAULT_PAGE_SIZE, Page
 from .pagefile import PageFile
 from .persist import (
     clone_database,
-    databases_equal,
     iter_node_records,
     load_database,
     save_database,
@@ -38,12 +35,9 @@ from .record import (
     RecordReader,
     RecordWriter,
     decode_float32,
-    decode_float64,
-    decode_uint32,
     decode_varint,
     encode_float32,
     encode_float64,
-    encode_uint16,
     encode_uint32,
     encode_varint,
 )
@@ -63,18 +57,12 @@ __all__ = [
     "RecordWriter",
     "SqlitePageStore",
     "clone_database",
-    "compression_ratio",
-    "databases_equal",
     "decode_float32",
-    "decode_float64",
-    "decode_uint32",
     "decode_varint",
     "delta_decode_ids",
     "delta_encode_ids",
-    "dequantize_weights",
     "encode_float32",
     "encode_float64",
-    "encode_uint16",
     "encode_uint32",
     "encode_varint",
     "iter_node_records",

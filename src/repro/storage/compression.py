@@ -91,21 +91,9 @@ def quantize_weights(
 ) -> Tuple[List[int], float]:
     """Quantize edge weights onto an integer grid (the lossy half of the codec).
 
-    Returns the integer ticks and the resolution actually used.  Decoding via
-    :func:`dequantize_weights` reproduces each weight within ``resolution / 2``.
+    Returns the integer ticks and the resolution actually used; ``tick *
+    resolution`` reproduces each weight within ``resolution / 2``.
     """
     if resolution <= 0:
         raise StorageError(f"weight resolution must be positive, got {resolution}")
     return [int(round(weight / resolution)) for weight in weights], resolution
-
-
-def dequantize_weights(ticks: Sequence[int], resolution: float) -> List[float]:
-    """Inverse of :func:`quantize_weights` (up to the quantisation error)."""
-    return [tick * resolution for tick in ticks]
-
-
-def compression_ratio(original_bytes: int, compressed_bytes: int) -> float:
-    """Compressed size as a fraction of the original size (lower is better)."""
-    if original_bytes <= 0:
-        raise StorageError("original size must be positive")
-    return compressed_bytes / original_bytes

@@ -83,13 +83,6 @@ class Database:
         self._files[name] = page_file
         return page_file
 
-    def add_file(self, page_file: PageFile) -> None:
-        if page_file.name in self._files:
-            raise StorageError(f"file {page_file.name!r} already exists")
-        if page_file.page_size != self.page_size:
-            raise StorageError("page size mismatch between file and database")
-        self._files[page_file.name] = page_file
-
     def file(self, name: str) -> PageFile:
         try:
             return self._files[name]

@@ -14,7 +14,7 @@ with O(1) resident pages, while byte accounting stays exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..exceptions import PageOverflowError, StorageError
 from .page import DEFAULT_PAGE_SIZE, Page
@@ -184,20 +184,6 @@ class PageFile:
         if tail_number is not None and any(n == tail_number for n in page_numbers):
             return [self.read_page(n) for n in page_numbers]
         return self.store.get_pages_batch(page_numbers)
-
-    def resolve_page(self, page_number: int, resolver: Callable[[bytes], object]) -> object:
-        """Store-memoised ``resolver(page image)`` for one sealed page.
-
-        The resolved value is cached with the bytes in the page store (see
-        :meth:`~repro.storage.stores.PageStore.resolve`), so per-page decode
-        products — index-entry resolution above all — live at the storage
-        layer instead of in byte-keyed client caches.  A live tail page is
-        resolved directly without caching (it is still mutable).
-        """
-        self._check_page_number(page_number)
-        if self._tail is not None and page_number == self._tail_page_number():
-            return resolver(self._tail.to_bytes())
-        return self.store.resolve(page_number, resolver)
 
     def pages(self) -> Iterator[Page]:
         for page_number in range(self.num_pages):

@@ -13,15 +13,15 @@ layouts by construction.
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import Any, List
+from typing import Any, List, Sequence
 
 from ..exceptions import StorageError
 
 UINT32 = struct.Struct("<I")
 FLOAT32 = struct.Struct("<f")
 FLOAT64 = struct.Struct("<d")
-UINT16 = struct.Struct("<H")
 #: Packed (uint32, float32) pair — one adjacency-list element.
 PAIR_UINT32_FLOAT32 = struct.Struct("<If")
 #: Packed (uint32, uint32, float32) triple — one weighted edge.
@@ -34,16 +34,6 @@ def encode_uint32(value: int) -> bytes:
     return UINT32.pack(value)
 
 
-def decode_uint32(data: bytes, offset: int = 0) -> int:
-    return UINT32.unpack_from(data, offset)[0]
-
-
-def encode_uint16(value: int) -> bytes:
-    if value < 0 or value > 0xFFFF:
-        raise StorageError(f"value {value} out of range for uint16")
-    return UINT16.pack(value)
-
-
 def encode_float32(value: float) -> bytes:
     return FLOAT32.pack(value)
 
@@ -54,10 +44,6 @@ def decode_float32(data: bytes, offset: int = 0) -> float:
 
 def encode_float64(value: float) -> bytes:
     return FLOAT64.pack(value)
-
-
-def decode_float64(data: bytes, offset: int = 0) -> float:
-    return FLOAT64.unpack_from(data, offset)[0]
 
 
 def encode_varint(value: int) -> bytes:
@@ -93,6 +79,18 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple:
             raise StorageError("varint too long")
 
 
+def check_edge_weights(weights: Sequence[float]) -> None:
+    """Raise :class:`StorageError` unless every weight is finite and > 0.
+
+    Decoded weights are bytes the LBS wrote: a zero, negative or NaN weight
+    breaks the client's Dijkstra (two nodes joined by negative edges keep
+    the heap from ever draining).  ``min`` rejects zero and negatives and
+    ``sum`` rejects NaN and infinity, each in one C-level pass.
+    """
+    if weights and not (min(weights) > 0.0 and sum(weights) < math.inf):
+        raise StorageError("edge weights must be finite and positive")
+
+
 class RecordWriter:
     """Sequential binary writer."""
 
@@ -101,10 +99,6 @@ class RecordWriter:
 
     def uint32(self, value: int) -> "RecordWriter":
         self._parts.append(encode_uint32(value))
-        return self
-
-    def uint16(self, value: int) -> "RecordWriter":
-        self._parts.append(encode_uint16(value))
         return self
 
     def float32(self, value: float) -> "RecordWriter":
@@ -171,9 +165,6 @@ class RecordReader:
     def uint32(self) -> int:
         return self._fixed(UINT32)
 
-    def uint16(self) -> int:
-        return self._fixed(UINT16)
-
     def float32(self) -> float:
         return self._fixed(FLOAT32)
 
@@ -208,10 +199,6 @@ class RecordReader:
         values = list(codec.iter_unpack(self._data[self._offset:self._offset + size]))
         self._offset += size
         return values
-
-    def adjacency_list(self, count: int) -> List[tuple]:
-        """``count`` packed (uint32 neighbor, float32 weight) pairs."""
-        return self._batch(PAIR_UINT32_FLOAT32, count)
 
     def edge_list(self, count: int) -> List[tuple]:
         """``count`` packed (uint32, uint32, float32) weighted edges."""

@@ -31,11 +31,9 @@ Backend selection flows through three increasingly general seams:
    ``REPRO_STORE_DIR``), which the CI matrix uses to run the whole test
    suite against each backend.
 
-Stores also host the per-page *resolution cache* (:meth:`PageStore.resolve`):
-a memoised ``resolver(page_image)`` keyed by page number, so decoded
-artifacts — most importantly the network-index entries of
-:mod:`repro.schemes.index_entries` — live with the bytes instead of in
-byte-keyed client caches that would pin every page image in RAM.
+A store holds bytes only: it caches nothing decoded.  The client decodes the
+pages it fetched through PIR, which carry no page identity, so its decode
+cache (:mod:`repro.engine.cache`) is keyed by the bytes themselves.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import StorageError
 
@@ -142,8 +140,6 @@ class PageStore(abc.ABC):
         if page_size <= 0:
             raise StorageError(f"page size must be positive, got {page_size}")
         self.page_size = page_size
-        #: page number -> {resolver: resolved value} (see :meth:`resolve`).
-        self._resolve_cache: Dict[int, Dict[Callable[[bytes], object], object]] = {}
 
     # ------------------------------------------------------------------ #
     # required backend primitives
@@ -203,12 +199,6 @@ class PageStore(abc.ABC):
                 f"page size {self.page_size}"
             )
         self._overwrite(page_number, payload)
-        self._resolve_cache.pop(page_number, None)
-
-    def iter_pages(self) -> Iterator[bytes]:
-        """Iterate the padded page images in page order."""
-        for page_number in range(self.num_pages):
-            yield self.get_page(page_number)
 
     def iter_payloads(self) -> Iterator[bytes]:
         """Iterate the unpadded payloads in page order."""
@@ -219,21 +209,6 @@ class PageStore(abc.ABC):
     def payload_bytes(self) -> int:
         """Total payload bytes across all pages."""
         return sum(self.page_used(n) for n in range(self.num_pages))
-
-    def resolve(self, page_number: int, resolver: Callable[[bytes], object]) -> object:
-        """Memoised ``resolver(page_image)`` for one page.
-
-        The cache is keyed by ``(page_number, resolver)`` and lives with the
-        store, so repeated resolution of the same page (index-entry decoding
-        is the flagship case) does not re-read or re-decode the bytes; it is
-        invalidated when the page is overwritten.
-        """
-        per_page = self._resolve_cache.get(page_number)
-        if per_page is not None and resolver in per_page:
-            return per_page[resolver]
-        value = resolver(self.get_page(page_number))
-        self._resolve_cache.setdefault(page_number, {})[resolver] = value
-        return value
 
     def flush(self) -> None:
         """Push buffered appends to the backend medium."""
@@ -383,7 +358,7 @@ class MmapPageStore(PageStore):
     def _drop_residency(self) -> None:
         """Tell the kernel the mapped pages are disposable again.
 
-        A full-file scan (payload accounting, ``databases_equal``) faults the
+        A full-file scan (payload accounting, a byte comparison) faults the
         whole map resident; dropping it keeps RSS bounded by the working set
         instead of the database size.  Purely advisory — pages re-fault from
         the page cache or disk on the next read.

@@ -15,7 +15,7 @@ import pytest
 
 from repro import SystemSpec
 from repro.bench.workloads import generate_workload
-from repro.network import grid_network, random_planar_network
+from repro.network import random_planar_network
 from repro.partition import compute_border_nodes, packed_kdtree_partition
 from repro.precompute import compute_border_products
 from repro.schemes import (
@@ -31,6 +31,8 @@ from repro.schemes import (
 _ORACLES = str(Path(__file__).resolve().parent / "oracles")
 if _ORACLES not in sys.path:
     sys.path.append(_ORACLES)
+
+from networks import grid_network  # noqa: E402  (tests/oracles, on the path above)
 
 #: Node count of the shared test network — small enough for fast builds,
 #: large enough to produce a few dozen regions with the tiny page size below.

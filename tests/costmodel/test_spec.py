@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.costmodel import DEFAULT_SPEC, SystemSpec
+from repro.costmodel import DEFAULT_SPEC
 
 
 class TestSystemSpec:
@@ -23,16 +23,6 @@ class TestSystemSpec:
         assert custom.page_size == 512
         assert custom.round_trip_s == 0.1
         assert DEFAULT_SPEC.page_size == 4096  # original untouched
-
-    def test_max_pages_per_file(self):
-        spec = SystemSpec(page_size=4096)
-        assert spec.max_pages_per_file == spec.max_file_bytes // 4096
-
-    def test_memory_supported_pages(self):
-        spec = SystemSpec()
-        pages = spec.max_supported_pages_by_memory()
-        # with 32 MB RAM and c=10 the supported file is in the gigabyte range
-        assert pages * spec.page_size > 2 * 2**30
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -126,7 +126,7 @@ class TestShardedEngine:
         assert all(isinstance(pir, ShardedPirSimulator) for pir in simulators)
         assert len({id(pir) for pir in simulators}) == len(simulators)
         # both contexts actually served pages through their own connections
-        assert all(sum(pir.shard_load()) > 0 for pir in simulators[:2])
+        assert all(sum(shard.pages_served for shard in pir.shards) > 0 for pir in simulators[:2])
 
     def test_invalid_shard_count_rejected(self, ci_scheme):
         with pytest.raises(SchemeError):

@@ -20,7 +20,6 @@ class TestLruCache:
         cache = LruCache(4)
         assert cache.get("missing") is None
         assert cache.misses == 1
-        assert cache.hit_rate == 0.0
 
     def test_eviction_is_least_recently_used(self):
         cache = LruCache(2)
@@ -102,7 +101,6 @@ class TestNullCache:
         assert cache.get("a") is None
         assert cache.misses == 1
         assert cache.hits == 0
-        assert cache.hit_rate == 0.0
         assert len(cache) == 0
         assert "a" not in cache
         cache.clear()

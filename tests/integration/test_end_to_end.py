@@ -13,6 +13,7 @@ import pytest
 from repro import SystemSpec
 from repro.bench.workloads import generate_workload
 from repro.network import random_planar_network, shortest_path_cost
+from repro.pir import SecureCoprocessor
 from repro.privacy import check_indistinguishability
 from repro.schemes import (
     ClusteredPassageIndexScheme,
@@ -88,9 +89,13 @@ class TestEndToEnd:
     def test_scp_limit_detection(self, built_schemes):
         """With the paper's 2.5 GByte limit none of these tiny databases is
         rejected; with an artificially tiny limit every scheme is."""
+        def exceeds_pir_file_limit(scheme):
+            scp = SecureCoprocessor(scheme.spec)
+            return any(not scp.supports_file(f) for f in scheme.database.files())
+
         for scheme in built_schemes.values():
-            assert not scheme.exceeds_pir_file_limit()
+            assert not exceeds_pir_file_limit(scheme)
         tiny_limit = ConciseIndexScheme.build(
             built_schemes["CI"].network, spec=SPEC.with_overrides(max_file_bytes=1024)
         )
-        assert tiny_limit.exceeds_pir_file_limit()
+        assert exceeds_pir_file_limit(tiny_limit)

@@ -9,11 +9,10 @@ from repro.network import (
     RoadNetwork,
     SearchStats,
     astar_search,
-    euclidean_heuristic,
     shortest_path,
     shortest_path_cost,
-    zero_heuristic,
 )
+from search_reference import euclidean_heuristic, zero_heuristic
 
 
 class TestAstarCorrectness:

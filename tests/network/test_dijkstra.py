@@ -1,6 +1,5 @@
-"""Tests for Dijkstra, bidirectional Dijkstra and shortest-path trees."""
+"""Tests for Dijkstra and shortest-path trees."""
 
-import math
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.network import (
     RoadNetwork,
     SearchStats,
     all_pairs_sample_costs,
-    bidirectional_dijkstra,
     dijkstra_tree,
     shortest_path,
     shortest_path_cost,
@@ -100,30 +98,6 @@ class TestShortestPathTree:
             assert path.cost == pytest.approx(tree.distance_to(target))
             assert path.source == 0
             assert path.target == target
-
-
-class TestBidirectional:
-    def test_matches_unidirectional_on_diamond(self):
-        network = build_diamond()
-        forward = shortest_path(network, 0, 3)
-        both = bidirectional_dijkstra(network, 0, 3)
-        assert both.cost == pytest.approx(forward.cost)
-
-    def test_matches_unidirectional_on_random_network(self, medium_network, rng):
-        node_ids = list(medium_network.node_ids())
-        for _ in range(10):
-            source = rng.choice(node_ids)
-            target = rng.choice(node_ids)
-            expected = shortest_path_cost(medium_network, source, target)
-            observed = bidirectional_dijkstra(medium_network, source, target).cost
-            assert math.isclose(observed, expected, rel_tol=1e-9)
-
-    def test_trivial_and_missing(self):
-        network = build_diamond()
-        assert bidirectional_dijkstra(network, 1, 1).cost == 0.0
-        network.add_node(77, 9.0, 9.0)
-        with pytest.raises(NoPathError):
-            bidirectional_dijkstra(network, 0, 77)
 
 
 class TestBatchCosts:

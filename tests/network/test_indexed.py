@@ -1,7 +1,5 @@
 """Tests for the array-backed (CSR) graph core and its compiled cache."""
 
-import math
-
 import pytest
 
 from repro.exceptions import GraphError, NoPathError
@@ -9,8 +7,6 @@ from repro.network import (
     CsrGraph,
     RoadNetwork,
     SearchStats,
-    bidirectional_dijkstra,
-    build_csr,
     csr_for,
     dijkstra_tree,
     shortest_path,
@@ -31,25 +27,25 @@ def build_diamond():
 
 class TestCsrCompilation:
     def test_counts_match_network(self, medium_network):
-        csr = build_csr(medium_network)
+        csr = CsrGraph.from_network(medium_network)
         assert csr.num_nodes == medium_network.num_nodes
         assert csr.num_edges == medium_network.num_edges
 
     def test_id_mapping_roundtrip(self, medium_network):
-        csr = build_csr(medium_network)
+        csr = CsrGraph.from_network(medium_network)
         for node_id in medium_network.node_ids():
-            assert csr.original_id(csr.dense_id(node_id)) == node_id
+            assert csr.node_ids[csr.dense_id(node_id)] == node_id
             assert node_id in csr
 
     def test_unknown_node_rejected(self):
-        csr = build_csr(build_diamond())
+        csr = CsrGraph.from_network(build_diamond())
         with pytest.raises(GraphError):
             csr.dense_id(999)
         assert 999 not in csr
 
     def test_adjacency_preserves_weights(self):
         network = build_diamond()
-        csr = build_csr(network)
+        csr = CsrGraph.from_network(network)
         adjacency = csr.adjacency()
         for node_id in network.node_ids():
             dense = csr.dense_id(node_id)
@@ -58,21 +54,6 @@ class TestCsrCompilation:
                 for neighbor, weight in network.neighbors(node_id)
             )
             assert sorted(adjacency[dense]) == expected
-
-    def test_reverse_transposes_edges(self):
-        network = RoadNetwork()
-        network.add_node(0, 0.0, 0.0)
-        network.add_node(1, 1.0, 0.0)
-        network.add_edge(0, 1, 2.5)
-        csr = build_csr(network)
-        reverse = csr.reverse()
-        assert reverse.num_edges == 1
-        dense_one = csr.dense_id(1)
-        dense_zero = csr.dense_id(0)
-        assert reverse.adjacency()[dense_one] == ((2.5, dense_zero),)
-        assert reverse.adjacency()[dense_zero] == ()
-        # the transpose of the transpose is the original object
-        assert reverse.reverse() is csr
 
     def test_cache_reuses_compiled_graph(self):
         network = build_diamond()
@@ -120,34 +101,6 @@ class TestFastPathSemantics:
         network.add_edge(0, 1, 5.0)
         network.add_edge(0, 1, 2.0)  # parallel, cheaper
         assert shortest_path(network, 0, 1).cost == pytest.approx(2.0)
-
-    def test_bidirectional_stats_parity(self, medium_network):
-        """Bidirectional runs record the same statistics fields as
-        :func:`dijkstra_tree`: settles, relaxations and the visit order."""
-        uni_stats = SearchStats()
-        bi_stats = SearchStats()
-        node_ids = list(medium_network.node_ids())
-        source, target = node_ids[0], node_ids[-1]
-        uni = shortest_path(medium_network, source, target, stats=uni_stats)
-        both = bidirectional_dijkstra(medium_network, source, target, stats=bi_stats)
-        assert both.cost == pytest.approx(uni.cost)
-        assert bi_stats.settled_nodes > 0
-        assert bi_stats.relaxed_edges > 0
-        assert len(bi_stats.visited_nodes) == bi_stats.settled_nodes
-        # both endpoints are settled first, one per direction
-        assert set(bi_stats.visited_nodes[:2]) == {source, target}
-        # the bidirectional search should not do more work than it reports:
-        # every visited node is a real network node
-        assert all(node in medium_network for node in bi_stats.visited_nodes)
-
-    def test_bidirectional_stats_on_diamond(self):
-        network = build_diamond()
-        stats = SearchStats()
-        path = bidirectional_dijkstra(network, 0, 3, stats=stats)
-        assert path.cost == pytest.approx(2.0)
-        assert stats.settled_nodes >= 2
-        assert stats.relaxed_edges >= 2
-        assert stats.visited_nodes
 
 
 class TestCsrGraphDirect:

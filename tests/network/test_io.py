@@ -5,13 +5,17 @@ import io
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network import (
-    network_from_string,
-    network_to_string,
-    random_planar_network,
-    read_network,
-    write_network,
-)
+from repro.network import random_planar_network, read_network, write_network
+
+
+def network_to_string(network):
+    buffer = io.StringIO()
+    write_network(network, buffer)
+    return buffer.getvalue()
+
+
+def network_from_string(text):
+    return read_network(io.StringIO(text))
 
 
 class TestRoundTrip:

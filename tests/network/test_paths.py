@@ -1,60 +1,24 @@
-"""Tests for path objects and validation."""
+"""Tests for path objects."""
 
 import pytest
 
-from repro.exceptions import GraphError
-from repro.network import Path, RoadNetwork, validate_path
-
-
-@pytest.fixture()
-def line_network():
-    network = RoadNetwork()
-    for node_id in range(4):
-        network.add_node(node_id, float(node_id), 0.0)
-    network.add_undirected_edge(0, 1, 1.0)
-    network.add_undirected_edge(1, 2, 2.0)
-    network.add_undirected_edge(2, 3, 3.0)
-    return network
+from repro.network import Path
 
 
 class TestPath:
-    def test_from_nodes_sums_costs(self, line_network):
-        path = Path.from_nodes(line_network, [0, 1, 2, 3])
+    def test_endpoints_and_counts(self):
+        path = Path((0, 1, 2, 3), 6.0)
         assert path.cost == pytest.approx(6.0)
         assert path.source == 0
         assert path.target == 3
         assert path.num_edges == 3
         assert len(path) == 4
 
-    def test_edges_listing(self, line_network):
-        path = Path.from_nodes(line_network, [0, 1, 2])
+    def test_edges_listing(self):
+        path = Path((0, 1, 2), 3.0)
         assert path.edges() == [(0, 1), (1, 2)]
 
-    def test_single_node_path(self, line_network):
-        path = Path.from_nodes(line_network, [2])
+    def test_single_node_path(self):
+        path = Path((2,), 0.0)
         assert path.cost == 0.0
         assert path.num_edges == 0
-
-    def test_empty_path_rejected(self, line_network):
-        with pytest.raises(GraphError):
-            Path.from_nodes(line_network, [])
-
-    def test_invalid_edge_rejected(self, line_network):
-        with pytest.raises(GraphError):
-            Path.from_nodes(line_network, [0, 2])
-
-
-class TestValidatePath:
-    def test_valid_path_passes(self, line_network):
-        path = Path.from_nodes(line_network, [0, 1, 2])
-        validate_path(line_network, path)
-
-    def test_wrong_cost_rejected(self, line_network):
-        path = Path((0, 1, 2), 100.0)
-        with pytest.raises(GraphError):
-            validate_path(line_network, path)
-
-    def test_nonexistent_edge_rejected(self, line_network):
-        path = Path((0, 3), 1.0)
-        with pytest.raises(GraphError):
-            validate_path(line_network, path)

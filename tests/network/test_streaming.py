@@ -1,26 +1,30 @@
 """Tests for the streaming generators, DIMACS I/O and node-record databases."""
 
-import io
 import struct
 
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network import (
-    grid_network,
-    iter_dimacs_records,
-    network_from_records,
-    read_dimacs,
-    stream_cluster_network,
-    stream_grid_network,
-    write_dimacs,
-)
+from repro.network import RoadNetwork, stream_grid_network
 from repro.network.dijkstra import shortest_path_cost
 from repro.storage import iter_node_records, stream_node_database
+from networks import grid_network
 
 
 def float32(value):
     return struct.unpack("<f", struct.pack("<f", value))[0]
+
+
+def network_from_records(records):
+    """Materialize a stream of node records; edges wait until every node exists."""
+    network = RoadNetwork()
+    edges = []
+    for node_id, x, y, neighbors in records:
+        network.add_node(node_id, x, y)
+        edges.extend((node_id, target, weight) for target, weight in neighbors)
+    for source, target, weight in edges:
+        network.add_edge(source, target, weight)
+    return network
 
 
 class TestStreamGridNetwork:
@@ -63,73 +67,6 @@ class TestStreamGridNetwork:
             next(stream_grid_network(0, 5))
 
 
-class TestStreamClusterNetwork:
-    def test_connected_and_symmetric(self):
-        network = network_from_records(stream_cluster_network(6, 5, seed=3))
-        assert network.num_nodes == 30
-        # gateway chaining keeps everything reachable
-        assert shortest_path_cost(network, 0, 29) > 0
-        for node_id in range(30):
-            for neighbor, weight in network.neighbors(node_id):
-                assert dict(network.neighbors(neighbor))[node_id] == weight
-
-    def test_rejects_degenerate_clusters(self):
-        with pytest.raises(GraphError):
-            next(stream_cluster_network(3, 2))
-
-
-class TestDimacs:
-    def test_round_trip_preserves_structure_and_costs(self):
-        original = grid_network(6, 6, seed=8)
-        gr, co = io.StringIO(), io.StringIO()
-        write_dimacs(original, gr, co, scale=10**6)
-        gr.seek(0), co.seek(0)
-        recovered = read_dimacs(gr, co, scale=10**6)
-        assert recovered.num_nodes == original.num_nodes
-        assert recovered.num_edges == original.num_edges
-        assert shortest_path_cost(recovered, 0, 35) == pytest.approx(
-            shortest_path_cost(original, 0, 35), rel=1e-5
-        )
-
-    def test_streaming_records_match_materialized_read(self):
-        original = grid_network(5, 4, seed=2)
-        gr, co = io.StringIO(), io.StringIO()
-        write_dimacs(original, gr, co)
-        gr.seek(0), co.seek(0)
-        materialized = read_dimacs(io.StringIO(gr.getvalue()), io.StringIO(co.getvalue()))
-        streamed = network_from_records(iter_dimacs_records(gr, co))
-        assert streamed.num_nodes == materialized.num_nodes
-        assert streamed.num_edges == materialized.num_edges
-        for node_id in range(streamed.num_nodes):
-            assert sorted(streamed.neighbors(node_id)) == sorted(materialized.neighbors(node_id))
-
-    def test_without_coordinates_nodes_sit_at_origin(self):
-        gr = io.StringIO("c tiny\np sp 3 2\na 1 2 5\na 2 3 7\n")
-        network = read_dimacs(gr, scale=1.0)
-        assert network.num_nodes == 3
-        assert dict(network.neighbors(0))[1] == 5.0
-        node = next(n for n in network.nodes() if n.node_id == 0)
-        assert (node.x, node.y) == (0.0, 0.0)
-
-    def test_streaming_rejects_ungrouped_arcs(self):
-        gr = io.StringIO("p sp 3 3\na 1 2 1\na 2 3 1\na 1 3 1\n")
-        with pytest.raises(GraphError):
-            list(iter_dimacs_records(gr))
-
-    def test_isolated_nodes_are_emitted(self):
-        gr = io.StringIO("p sp 4 1\na 1 2 3\n")
-        records = list(iter_dimacs_records(gr))
-        assert [record[0] for record in records] == [0, 1, 2, 3]
-        assert records[0][3] == [(1, 3.0 / 1000.0)]
-        assert all(record[3] == [] for record in records[1:])
-
-    def test_malformed_lines_raise(self):
-        with pytest.raises(GraphError):
-            read_dimacs(io.StringIO("p sp 2\n"))
-        with pytest.raises(GraphError):
-            read_dimacs(io.StringIO("p sp 2 1\nq 1 2 3\n"))
-
-
 class TestStreamNodeDatabase:
     @pytest.mark.parametrize("backend", ["memory", "mmap", "sqlite"])
     @pytest.mark.parametrize("payload_pad", [0, 96])
@@ -155,7 +92,7 @@ class TestStreamNodeDatabase:
             database.close()
 
     def test_streamed_network_answers_queries(self, tmp_path):
-        records = list(stream_cluster_network(4, 6, seed=7))
+        records = list(stream_grid_network(4, 6, seed=7))
         database, _ = stream_node_database(
             records, page_size=256, store_backend="sqlite", store_dir=tmp_path
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+from networks import has_edge
 from repro.network import NodeId, RoadNetwork, dijkstra_tree
 from repro.partition import BorderNodeIndex, Partitioning, RegionId
 from repro.precompute.border_products import BorderProducts
@@ -140,10 +141,10 @@ def _original_directed_edge(
     if parent_is_border and not child_is_border:
         endpoint_a, endpoint_b = border_index.original_edge_of_border[parent]
         other = endpoint_a if child == endpoint_b else endpoint_b
-        return (other, child) if network.has_edge(other, child) else None
+        return (other, child) if has_edge(network, other, child) else None
     if child_is_border and not parent_is_border:
         endpoint_a, endpoint_b = border_index.original_edge_of_border[child]
         other = endpoint_b if parent == endpoint_a else endpoint_a
-        return (parent, other) if network.has_edge(parent, other) else None
+        return (parent, other) if has_edge(network, parent, other) else None
     # two consecutive border nodes cannot be adjacent in the augmented network
     return None

@@ -6,8 +6,8 @@ implementations that
 :mod:`repro.partition.regiondata` and :mod:`repro.schemes.files` replaced
 with flat-struct decoders and a walk over the flat split table.  They read
 every field through :class:`~repro.storage.RecordReader` and route a point
-by rebuilding the split tree (``Partitioning.tree_from_splits``) and
-descending it.  ``decode_header`` is ``HeaderInfo.decode`` without the
+by rebuilding the split tree (:func:`tree_from_splits`) and descending
+it.  ``decode_header`` is ``HeaderInfo.decode`` without the
 decode-cache probe.  The fast decoders must return exactly the same objects
 (``decode_region_payload`` reads the row format of
 ``region_rows_reference``; the fast decoder's row view of the same nodes in
@@ -16,14 +16,15 @@ columns must equal it).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.exceptions import StorageError
+from repro.exceptions import PartitionError, StorageError
 from repro.network import NodeId
-from repro.partition.regions import LeafNode, Partitioning, SplitNode, TreeNode
+from repro.partition.regions import LeafNode, SplitNode, TreeNode
 from repro.schemes.files import HeaderInfo
 from repro.schemes.plan import QueryPlan
 from repro.storage import RecordReader
+from repro.storage.record import PAIR_UINT32_FLOAT32
 
 
 def decode_region_payload(data: bytes) -> Dict[NodeId, Tuple[float, float, List[Tuple[NodeId, float]]]]:
@@ -36,7 +37,8 @@ def decode_region_payload(data: bytes) -> Dict[NodeId, Tuple[float, float, List[
         x = reader.float32()
         y = reader.float32()
         degree = reader.varint()
-        adjacency = reader.adjacency_list(degree)
+        adjacency_bytes = reader.raw(PAIR_UINT32_FLOAT32.size * degree)
+        adjacency = list(PAIR_UINT32_FLOAT32.iter_unpack(adjacency_bytes))
         nodes[node_id] = (x, y, adjacency)
     return nodes
 
@@ -93,9 +95,23 @@ def region_of_point(header: HeaderInfo, x: float, y: float) -> int:
     return descend(split_tree(header), x, y)
 
 
+def tree_from_splits(records: Sequence[Tuple[int, int, float, int, int]]) -> TreeNode:
+    """Rebuild the split tree from :meth:`Partitioning.tree_splits` records."""
+    if not records:
+        raise PartitionError("empty split-tree description")
+
+    def build(index: int) -> TreeNode:
+        _, axis, value, left, right = records[index]
+        if axis == 2:
+            return LeafNode(left)
+        return SplitNode(axis, value, build(left), build(right))
+
+    return build(0)
+
+
 def split_tree(header: HeaderInfo) -> TreeNode:
     """The header's split tree, rebuilt once (many points can then descend it)."""
-    return Partitioning.tree_from_splits(header.tree_splits)
+    return tree_from_splits(header.tree_splits)
 
 
 def descend(tree: TreeNode, x: float, y: float) -> int:

@@ -20,6 +20,7 @@ import struct
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from networks import has_edge
 from repro.exceptions import SchemeError, StorageError
 from repro.network import NodeId, RoadNetwork
 from repro.partition import RegionColumns, decode_region_payload
@@ -134,7 +135,7 @@ def subgraph_from_entry(entry: IndexEntry, region_payloads: Sequence[Rows]) -> R
         if target not in graph:
             graph.add_node(target, 0.0, 0.0)
             graph.heuristic_safe = False
-        if not graph.has_edge(source, target):
+        if not has_edge(graph, source, target):
             graph.add_edge(source, target, weight)
     return graph
 

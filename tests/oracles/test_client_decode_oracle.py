@@ -58,6 +58,18 @@ def _float_bytes(rng: random.Random, codec: str) -> bytes:
     return rng.randbytes(struct.calcsize(codec))
 
 
+def _weight_bytes(rng: random.Random) -> bytes:
+    """A packed float32 weight: any finite positive bit pattern.
+
+    The columnar decoder rejects every other weight (the row-format oracle
+    reads them); ``tests/partition/test_regiondata.py`` covers those.
+    """
+    while True:
+        bits = rng.getrandbits(31)  # sign bit clear
+        if bits and bits >> 23 != 0xFF:  # not zero, not inf or NaN
+            return struct.pack("<I", bits)
+
+
 def _region_payload(seed: int, count: int) -> Tuple[bytes, bytes]:
     """One random region in the row format and in the column format."""
     rng = random.Random(seed)
@@ -65,7 +77,7 @@ def _region_payload(seed: int, count: int) -> Tuple[bytes, bytes]:
     for _ in range(count):
         node_id = _int(rng)
         xy = _float_bytes(rng, "<f") + _float_bytes(rng, "<f")
-        edges = [(_int(rng), _float_bytes(rng, "<f")) for _ in range(rng.choice(DEGREES))]
+        edges = [(_int(rng), _weight_bytes(rng)) for _ in range(rng.choice(DEGREES))]
         nodes.append((node_id, xy, edges))
     rows = RecordWriter().varint(count)
     columns = RecordWriter().varint(count)

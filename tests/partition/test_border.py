@@ -21,7 +21,7 @@ class TestBorderNodes:
         for edge in small_network.edges():
             if partitioning.region_of_node(edge.source) != partitioning.region_of_node(edge.target):
                 crossing.add((min(edge.source, edge.target), max(edge.source, edge.target)))
-        assert len(crossing) == border_index.num_border_nodes
+        assert len(crossing) == len(border_index.regions_of_border)
 
     def test_border_nodes_belong_to_both_adjacent_regions(self, partitioning, border_index):
         for border_id, (region_a, region_b) in border_index.regions_of_border.items():
@@ -49,15 +49,6 @@ class TestBorderNodes:
         max_original = small_network.max_node_id()
         for border_id in border_index.border_nodes():
             assert border_id > max_original
-
-    def test_regions_of_node_helper(self, small_network, partitioning, border_index):
-        some_original = next(iter(small_network.node_ids()))
-        assert border_index.regions_of_node(partitioning, some_original) == (
-            partitioning.region_of_node(some_original),
-        )
-        some_border = border_index.border_nodes()[0]
-        regions = border_index.regions_of_node(partitioning, some_border)
-        assert len(regions) == 2
 
     def test_every_region_with_neighbours_has_border_nodes(self, partitioning, border_index):
         """Every region of a connected network borders at least one other region."""

@@ -2,9 +2,9 @@
 
 import pytest
 
+from networks import grid_network
 from region_rows_reference import rows_of
 from repro.exceptions import StorageError
-from repro.network import grid_network
 from repro.partition import (
     CompactCodecConfig,
     compare_region_codecs,

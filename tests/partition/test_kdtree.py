@@ -2,6 +2,7 @@
 
 import pytest
 
+from networks import validate_partitioning
 from repro.exceptions import PartitionError
 from repro.network import RoadNetwork, random_planar_network
 from repro.partition import node_record_size, plain_kdtree_partition
@@ -22,7 +23,7 @@ class TestPlainKdTree:
 
     def test_split_tree_consistent_with_assignment(self, medium_network):
         partitioning = plain_kdtree_partition(medium_network, 248)
-        partitioning.validate()
+        validate_partitioning(partitioning)
 
     def test_single_region_when_everything_fits(self):
         network = random_planar_network(10, seed=1)
@@ -46,7 +47,7 @@ class TestPlainKdTree:
             network.add_undirected_edge(index, index + 1, 1.0)
         partitioning = plain_kdtree_partition(network, 64)
         assert partitioning.num_regions >= 2
-        partitioning.validate()
+        validate_partitioning(partitioning)
 
     def test_region_count_scales_with_capacity(self, medium_network):
         small_pages = plain_kdtree_partition(medium_network, 200).num_regions

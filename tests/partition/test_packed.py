@@ -2,6 +2,7 @@
 
 import pytest
 
+from networks import validate_partitioning
 from repro.exceptions import PartitionError
 from repro.network import RoadNetwork, random_planar_network
 from repro.partition import (
@@ -29,7 +30,7 @@ class TestPackedKdTree:
 
     def test_split_tree_consistent_with_assignment(self, medium_network):
         partitioning = packed_kdtree_partition(medium_network, 248)
-        partitioning.validate()
+        validate_partitioning(partitioning)
 
     def test_utilization_beats_plain_partitioning(self, medium_network):
         """The headline claim of Section 5.6: packed pages are nearly full.

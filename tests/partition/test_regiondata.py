@@ -1,5 +1,6 @@
 """Tests for region-data record encoding: the columnar payload and its decoder."""
 
+import math
 import struct
 
 import pytest
@@ -142,6 +143,18 @@ class TestHostileColumns:
     def test_empty_data(self):
         with pytest.raises(StorageError):
             decode_region_payload(b"")
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, -0.0, math.nan, math.inf])
+    def test_two_nodes_joined_by_a_bad_weight(self, weight):
+        # with -1.0 both ways the client's Dijkstra never drains its heap
+        data = (
+            encode_varint(2)
+            + struct.pack("<2I4f", 0, 1, 0.0, 0.0, 1.0, 0.0)
+            + bytes([1, 1])
+            + struct.pack("<2I2f", 1, 0, weight, weight)
+        )
+        with pytest.raises(StorageError, match="weights"):
+            decode_region_payload(data)
 
 
 #: Node ids on both sides of the one- and two-byte varint limits.

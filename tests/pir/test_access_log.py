@@ -6,13 +6,11 @@ from repro.pir import AccessTrace, AdversaryEvent, AdversaryView
 class TestAccessTrace:
     def test_rounds_and_counters(self):
         trace = AccessTrace()
-        assert trace.current_round == 0
         assert trace.begin_round() == 1
         trace.record_header_download(100)
         assert trace.begin_round() == 2
         trace.record_pir_accesses("lookup", [3])
         trace.record_pir_accesses("index", [7])
-        assert trace.current_round == 2
         assert trace.header_bytes == 100
         assert trace.total_pir_accesses() == 2
         assert trace.pir_accesses_per_file() == {"lookup": 1, "index": 1}
@@ -33,15 +31,6 @@ class TestAccessTrace:
             (1, "lookup", 2), (2, "data", 5), (2, "data", 0), (2, "data", 5)
         ]
         assert batch.adversary_view().events[1:] == (AdversaryEvent(2, "pir", "data"),) * 3
-
-    def test_rounds_summary(self):
-        trace = AccessTrace()
-        trace.begin_round()
-        trace.record_pir_accesses("data", [0])
-        trace.begin_round()
-        trace.record_pir_accesses("data", [1])
-        trace.record_pir_accesses("data", [2])
-        assert trace.rounds_summary() == [{"data": 1}, {"data": 2}]
 
     def test_private_pages_not_in_adversary_view(self):
         trace = AccessTrace()
@@ -74,7 +63,7 @@ class TestAdversaryView:
         second.record_pir_accesses("index", [5])
         assert first.adversary_view() != second.adversary_view()
 
-    def test_accesses_per_file_and_rounds(self):
+    def test_num_rounds(self):
         view = AdversaryView(
             (
                 AdversaryEvent(1, "header", ""),
@@ -83,5 +72,4 @@ class TestAdversaryView:
                 AdversaryEvent(3, "pir", "data"),
             )
         )
-        assert view.accesses_per_file() == {"lookup": 1, "data": 2}
         assert view.num_rounds() == 3

@@ -84,7 +84,6 @@ class TestOramServer:
         server.write(1, b"aaaa")
         server.read(3)
         assert server.access_log == [("write", 1), ("read", 3)]
-        assert server.slots_touched() == [1, 3]
 
     def test_clear_log(self):
         server = OramServer(2, 4)

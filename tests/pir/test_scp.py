@@ -67,16 +67,6 @@ class TestUsablePirSimulator:
         assert view.events[0].file_name == "data"
         assert view.events[0].kind == "pir"
 
-    def test_accumulates_simulated_time(self):
-        database = make_database()
-        pir = UsablePirSimulator(database, spec=SystemSpec(page_size=64))
-        pir.retrieve_page("data", 0)
-        first = pir.simulated_pir_time_s
-        pir.retrieve_page("data", 1)
-        assert pir.simulated_pir_time_s == pytest.approx(2 * first)
-        pir.reset_time()
-        assert pir.simulated_pir_time_s == 0.0
-
     def test_out_of_range_page_rejected(self):
         pir = UsablePirSimulator(make_database(), spec=SystemSpec(page_size=64))
         with pytest.raises(PirError):
@@ -113,7 +103,3 @@ class TestUsablePirSimulator:
         assert quiet.retrieve_pages("data", reads) == logged.retrieve_pages("data", reads)
         assert quiet.queries_seen == []
         assert len(logged.queries_seen) == 2 * len(reads)
-
-    def test_file_page_counts(self):
-        pir = UsablePirSimulator(make_database(), spec=SystemSpec(page_size=64))
-        assert pir.file_page_counts() == {"data": 6}

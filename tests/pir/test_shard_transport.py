@@ -18,6 +18,11 @@ NUM_SHARDS = 3
 SEED = 5
 
 
+def shard_load(simulator):
+    """Pages served so far by each shard connection."""
+    return [shard.pages_served for shard in simulator.shards]
+
+
 def make_database(files=(("data", 23), ("index", 7)), page_size=64):
     database = Database(page_size)
     for name, num_pages in files:
@@ -103,7 +108,7 @@ def test_one_hand_over_per_round_file_and_shard_touched(simulator):
         calls = answers(events[before:])
         assert sorted(shard for _, shard, _, _ in calls) == sorted(touched)
         assert {args[0] for _, _, args, _ in calls} == {file_name}
-    assert simulator.shard_load() == [
+    assert shard_load(simulator) == [
         sum(1 for name, reads in rounds for page in reads
             if simulator.shard_of_page(name, page)[0] == shard)
         for shard in range(NUM_SHARDS)
@@ -156,7 +161,7 @@ def test_in_process_and_tcp_shards_hand_over_identical_shares(database, simulato
         ]
     assert len(remote_events) == len(local_events) > len(rounds)
     assert remote.queries_seen == simulator.queries_seen
-    assert remote.shard_load() == simulator.shard_load()
+    assert shard_load(remote) == shard_load(simulator)
 
 
 def test_direct_read_shards_draw_nothing(database, monkeypatch):
@@ -168,4 +173,4 @@ def test_direct_read_shards_draw_nothing(database, monkeypatch):
     reads = [2, 9, 9, 20]
     assert simulator.retrieve_pages("data", reads) == database.file("data").read_pages_batch(reads)
     assert simulator.queries_seen == []
-    assert sum(simulator.shard_load()) == len(reads)
+    assert sum(shard_load(simulator)) == len(reads)

@@ -28,7 +28,8 @@ class TestArcFlags:
 
     def test_flags_prune_a_meaningful_fraction_of_edges(self, arc_flags):
         """Arc flags are only useful if most region bits are unset."""
-        assert 0.0 < arc_flags.flag_fraction() < 0.9
+        set_bits = sum(len(regions) for regions in arc_flags.flags.values())
+        assert 0.0 < set_bits / (len(arc_flags.flags) * arc_flags.num_regions) < 0.9
 
     def test_restricted_search_preserves_shortest_path_costs(
         self, small_network, partitioning, arc_flags, rng

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from networks import has_edge
 from repro.network import shortest_path, shortest_path_cost
 from repro.precompute import compute_border_products
 
@@ -61,7 +62,7 @@ class TestPassageSubgraphs:
     def test_subgraph_edges_exist_in_network(self, small_network, border_products):
         for edges in border_products.passage_subgraphs.values():
             for source, target in edges:
-                assert small_network.has_edge(source, target)
+                assert has_edge(small_network, source, target)
 
     def test_subgraph_covering_guarantee(
         self, small_network, partitioning, border_products, rng
@@ -91,7 +92,7 @@ class TestPassageSubgraphs:
                     graph.add_node(edge_source, 0.0, 0.0)
                 if edge_target not in graph:
                     graph.add_node(edge_target, 0.0, 0.0)
-                if not graph.has_edge(edge_source, edge_target):
+                if not has_edge(graph, edge_source, edge_target):
                     graph.add_edge(
                         edge_source, edge_target, small_network.edge_weight(edge_source, edge_target)
                     )

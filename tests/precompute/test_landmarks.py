@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from networks import bounding_box
 from repro.exceptions import GraphError
 from repro.network import dijkstra_tree, shortest_path_cost
 from repro.precompute import build_landmark_index, select_anchors
@@ -32,7 +33,7 @@ class TestAnchorSelection:
     def test_anchors_are_spread_out(self, medium_network):
         """Farthest-point selection should not return clustered anchors."""
         anchors = select_anchors(medium_network, 4, seed=3)
-        min_x, min_y, max_x, max_y = medium_network.bounding_box()
+        min_x, min_y, max_x, max_y = bounding_box(medium_network)
         diagonal = math.hypot(max_x - min_x, max_y - min_y)
         pairwise = [
             medium_network.euclidean_distance(a, b)

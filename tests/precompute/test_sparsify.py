@@ -70,8 +70,6 @@ class TestApproximateProducts:
     def test_stats_are_consistent(self, approx_products):
         stats = approx_products.stats
         assert stats.pairs_selected + stats.pairs_skipped == stats.pairs_total
-        assert 0.0 <= stats.selection_ratio <= 1.0
-        assert 0.0 <= stats.edge_ratio <= 1.0
         assert stats.kept_edges <= stats.exact_edges
 
     def test_deviation_bound(self, approx_products):
@@ -103,10 +101,3 @@ class TestApproximateProducts:
         )
         assert loose.stats.pairs_selected <= approx_products.stats.pairs_total
         assert loose.stats.kept_edges <= loose.stats.exact_edges
-
-    def test_empty_stats_ratios(self):
-        from repro.precompute import SparsificationStats
-
-        stats = SparsificationStats(epsilon=0.1)
-        assert stats.selection_ratio == 0.0
-        assert stats.edge_ratio == 0.0

@@ -1,7 +1,8 @@
 """Property tests: the fast path must agree with the reference implementations.
 
 Random seeded road networks are searched with both the array-backed (CSR)
-fast path and the preserved dict-based reference implementations; costs must
+fast path and the dict-based reference implementations of
+``tests/oracles/search_reference.py``; costs must
 be identical.  Likewise, batched PIR retrieval must return exactly what
 repeated single retrievals return.
 """
@@ -13,16 +14,16 @@ import pytest
 from repro.exceptions import NoPathError
 from repro.network import (
     astar_search,
-    bidirectional_dijkstra,
     dijkstra_tree,
     random_planar_network,
-    reference_astar_search,
-    reference_bidirectional_dijkstra,
-    reference_dijkstra_tree,
-    reference_shortest_path,
     shortest_path,
 )
 from repro.pir import answer_shares, draw_shares, make_kernel
+from search_reference import (
+    reference_astar_search,
+    reference_dijkstra_tree,
+    reference_shortest_path,
+)
 
 SEEDS = [101, 202, 303]
 
@@ -53,25 +54,6 @@ class TestSearchAgreement:
                     shortest_path(network, source, target)
                 continue
             assert shortest_path(network, source, target).cost == pytest.approx(expected)
-
-    def test_bidirectional_costs_identical(self, seed):
-        network = random_planar_network(150, seed=seed)
-        rng = random.Random(seed + 2)
-        for source, target in sample_pairs(network, rng):
-            try:
-                expected = reference_bidirectional_dijkstra(network, source, target).cost
-            except NoPathError:
-                with pytest.raises(NoPathError):
-                    bidirectional_dijkstra(network, source, target)
-                continue
-            observed = bidirectional_dijkstra(network, source, target)
-            assert observed.cost == pytest.approx(expected)
-            # the bidirectional path itself must be a real path of that cost
-            rebuilt = sum(
-                network.edge_weight(a, b)
-                for a, b in zip(observed.nodes[:-1], observed.nodes[1:])
-            )
-            assert rebuilt == pytest.approx(observed.cost)
 
     def test_astar_costs_identical(self, seed):
         network = random_planar_network(150, seed=seed)

@@ -5,12 +5,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.network import (
-    bidirectional_dijkstra,
-    dijkstra_tree,
-    grid_network,
-    shortest_path,
-)
+from networks import grid_network
+from repro.network import dijkstra_tree, shortest_path
 from repro.pir import answer_shares, draw_shares, make_kernel
 
 
@@ -21,7 +17,6 @@ def graph_strategy():
         rows=st.integers(min_value=2, max_value=5),
         cols=st.integers(min_value=2, max_value=5),
         jitter=st.just(0.2),
-        drop_fraction=st.just(0.0),
         seed=st.integers(min_value=0, max_value=1000),
     )
 
@@ -49,16 +44,6 @@ class TestShortestPathProperties:
         path = shortest_path(network, source, target)
         total = sum(network.edge_weight(a, b) for a, b in path.edges())
         assert math.isclose(path.cost, total, rel_tol=1e-9, abs_tol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(graph_strategy(), st.data())
-    def test_bidirectional_agrees_with_unidirectional(self, network, data):
-        node_ids = list(network.node_ids())
-        source = data.draw(st.sampled_from(node_ids))
-        target = data.draw(st.sampled_from(node_ids))
-        forward = shortest_path(network, source, target).cost
-        both = bidirectional_dijkstra(network, source, target).cost
-        assert math.isclose(forward, both, rel_tol=1e-9, abs_tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(graph_strategy(), st.data())

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from networks import validate_partitioning
 from repro.network import random_planar_network
 from repro.partition import (
     node_record_size,
@@ -44,4 +45,4 @@ class TestPartitioningInvariants:
     @given(network_strategy(), st.sampled_from(PARTITIONERS), st.integers(min_value=300, max_value=900))
     def test_split_tree_maps_every_node_to_its_region(self, network, partition_fn, capacity):
         partitioning = partition_fn(network, capacity)
-        partitioning.validate()
+        validate_partitioning(partitioning)

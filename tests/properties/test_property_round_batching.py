@@ -79,7 +79,7 @@ def run_queries(scheme, pairs, pir, manager, monkeypatch):
                 result.trace.adversary_view(),
                 tuple(result.trace.private_page_requests()),
             ))
-    return observed, pir.simulated_pir_time_s, rng.getstate()
+    return observed, rng.getstate()
 
 
 def local_simulators(database):

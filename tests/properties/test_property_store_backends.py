@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from database_equality import databases_equal
 from repro.costmodel import SystemSpec
 from repro.engine import QueryEngine
 from repro.network import random_planar_network
@@ -19,7 +20,6 @@ from repro.pir import AccessTrace, UsablePirSimulator
 from repro.schemes import ConciseIndexScheme, PassageIndexScheme
 from repro.storage import (
     clone_database,
-    databases_equal,
     load_database,
     open_page_store,
     save_database,

@@ -8,6 +8,9 @@ an unbounded walk.  The seeds are real pages of every scheme that writes the
 page type, on the shared test network.
 """
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +22,13 @@ from repro.partition.compact import (
 )
 from repro.schemes.files import HeaderInfo, decode_region_bytes, read_lookup_entry
 from repro.schemes.index_entries import (
+    KIND_SUBGRAPH_RAW,
     IndexEntry,
+    _decode_page_entries,
     decode_index_entry,
     resolve_page_image,
 )
+from repro.storage import encode_varint
 
 #: Scheme fixtures (``tests/conftest.py``) by the scheme name in their header.
 SCHEME_FIXTURES = {
@@ -192,3 +198,50 @@ def test_index_pages_resolve_or_raise(indexed_scheme, data):
     except StorageError:
         return
     assert entry is None or (entry.key == key and isinstance(entry, IndexEntry))
+
+
+#: Weights no road network has; the server's build rejects them too.
+BAD_WEIGHTS = [math.nan, 0.0, -0.0, -1.0, math.inf]
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS)
+def test_region_page_with_a_bad_weight_raises(indexed_scheme, weight):
+    header = HeaderInfo.decode(indexed_scheme.database.header)
+    step = header.data_pages_per_region
+    pages = file_pages(indexed_scheme, header.data_file, header.data_page_offset, step)
+    payload = bytearray(b"".join(pages))
+    columns = decode_region_bytes(bytes(payload))
+    count, edges = len(columns.ids), len(columns.weights)
+    last_weight = (
+        len(encode_varint(count))
+        + 12 * count
+        + sum(len(encode_varint(degree)) for degree in columns.degrees)
+        + 8 * edges
+        - 4
+    )
+    struct.pack_into("<f", payload, last_weight, weight)
+    with pytest.raises(StorageError, match="weights"):
+        decode_region_bytes(bytes(payload))
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS)
+@pytest.mark.parametrize("scheme_name", ["PI", "HY"])
+def test_passage_index_page_with_a_bad_weight_raises(request, scheme_name, weight):
+    scheme = request.getfixturevalue(SCHEME_FIXTURES[scheme_name])
+    header = HeaderInfo.decode(scheme.database.header)
+    index = scheme.database.file(header.index_file)
+    for page_number in range(index.num_pages):
+        page = bytearray(index.read_page(page_number))
+        raw = [
+            entry
+            for entry in _decode_page_entries(bytes(page))
+            if entry.kind == KIND_SUBGRAPH_RAW and entry.edges
+        ]
+        if raw:
+            break
+    else:
+        pytest.fail(f"no {scheme_name} index page holds a raw passage subgraph")
+    edge_at = bytes(page).find(struct.pack("<IIf", *raw[0].edges[0]))
+    struct.pack_into("<f", page, edge_at + 8, weight)
+    with pytest.raises(StorageError, match="weights"):
+        resolve_page_image(bytes(page))

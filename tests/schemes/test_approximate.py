@@ -2,6 +2,7 @@
 
 import pytest
 
+from networks import has_edge
 from repro.exceptions import SchemeError
 from repro.network import shortest_path_cost
 from repro.privacy import check_indistinguishability
@@ -47,7 +48,7 @@ class TestApproximateBuild:
         assert apx_pages <= pi_pages
 
     def test_storage_no_larger_than_exact_pi(self, apx_scheme, pi_scheme):
-        assert apx_scheme.storage_bytes <= pi_scheme.storage_bytes
+        assert apx_scheme.database.total_size_bytes <= pi_scheme.database.total_size_bytes
 
     def test_sparsification_stats_attached(self, apx_scheme):
         stats = apx_scheme.sparsification_stats
@@ -66,7 +67,7 @@ class TestApproximateQueries:
             assert path.target == target
             # every hop is a real network edge
             for a, b in path.edges():
-                assert small_network.has_edge(a, b)
+                assert has_edge(small_network, a, b)
             exact = shortest_path_cost(small_network, source, target)
             assert path.cost <= (1.0 + EPSILON) * exact * (1.0 + 1e-4) + 1e-9
             assert path.cost >= exact * (1.0 - 1e-4) - 1e-9

@@ -13,15 +13,14 @@ from region_rows_reference import (
     reference_region_graph,
     subgraph_from_entry,
 )
+from search_reference import euclidean_heuristic, reference_astar_search
 from repro.engine import LruCache
 from repro.exceptions import GraphError, NoPathError, SchemeError
 from repro.network import (
     RoadNetwork,
     astar_search,
     csr_shortest_path,
-    euclidean_heuristic,
     random_planar_network,
-    reference_astar_search,
     shortest_path,
 )
 from repro.partition import encode_region_payload

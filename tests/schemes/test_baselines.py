@@ -25,7 +25,7 @@ class TestLandmarkBaseline:
         large = LandmarkScheme.build(
             small_network, spec=tiny_spec, num_landmarks=8, plan_pairs=query_pairs
         )
-        assert large.storage_bytes > small.storage_bytes
+        assert large.database.total_size_bytes > small.database.total_size_bytes
 
     def test_query_outside_plan_pairs_may_violate_plan(self, small_network, tiny_spec):
         """A plan derived from too small a sample is rejected loudly, never silently leaked."""
@@ -65,7 +65,8 @@ class TestArcFlagBaseline:
 
     def test_plan_pages_are_multiples_of_region_pages(self, arcflag_scheme):
         for round_spec in arcflag_scheme.plan.rounds[1:]:
-            assert round_spec.pages_for(DATA_FILE) % arcflag_scheme.pages_per_region == 0
+            data_pages = dict(round_spec.fetches).get(DATA_FILE, 0)
+            assert data_pages % arcflag_scheme.pages_per_region == 0
 
 
 class TestObfuscationBaseline:

@@ -45,7 +45,7 @@ class TestPassageIndexStructure:
         assert plan.num_rounds == 3
         last_round_files = [name for name, _ in plan.rounds[2].fetches]
         assert last_round_files == [INDEX_FILE, DATA_FILE]
-        assert plan.rounds[2].pages_for(DATA_FILE) == 2
+        assert dict(plan.rounds[2].fetches).get(DATA_FILE, 0) == 2
 
     def test_pi_fetches_fewer_data_pages_than_ci(self, ci_scheme, pi_scheme):
         assert pi_scheme.plan.pages_per_file()[DATA_FILE] < ci_scheme.plan.pages_per_file()[DATA_FILE]
@@ -87,7 +87,7 @@ class TestClusteredStructure:
     def test_cluster_pages_reflected_in_plan(self, clustered_scheme):
         cluster = clustered_scheme.cluster_pages
         assert cluster == 2
-        assert clustered_scheme.plan.rounds[-1].pages_for(DATA_FILE) == 2 * cluster
+        assert dict(clustered_scheme.plan.rounds[-1].fetches).get(DATA_FILE, 0) == 2 * cluster
 
     def test_fewer_regions_than_single_page_scheme(self, clustered_scheme, ci_scheme):
         assert clustered_scheme.partitioning.num_regions < ci_scheme.partitioning.num_regions

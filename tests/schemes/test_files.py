@@ -10,7 +10,7 @@ from repro.schemes.files import (
     HeaderInfo,
     build_lookup_file,
     build_region_data_file,
-    decode_region_pages,
+    decode_region_bytes,
     lookup_entries_per_page,
     read_lookup_entry,
 )
@@ -191,7 +191,7 @@ class TestRegionDataFile:
         data_file = build_region_data_file(database, small_network, partitioning, 1)
         assert data_file.num_pages == partitioning.num_regions
         for region in partitioning.regions():
-            decoded = decode_region_pages([data_file.read_page(region.region_id)])
+            decoded = decode_region_bytes(data_file.read_page(region.region_id))
             assert list(decoded.ids) == list(region.node_ids)
 
     def test_clustered_regions_round_trip(self, small_network, tiny_spec):
@@ -209,7 +209,7 @@ class TestRegionDataFile:
                     (region.region_id + 1) * pages_per_region,
                 )
             ]
-            decoded = decode_region_pages(pages)
+            decoded = decode_region_bytes(b"".join(pages))
             assert list(decoded.ids) == list(region.node_ids)
 
     def test_oversized_region_rejected(self, small_network, partitioning):

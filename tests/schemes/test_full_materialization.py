@@ -4,7 +4,7 @@ import pytest
 
 from repro.costmodel import SystemSpec
 from repro.exceptions import SchemeError
-from repro.network import grid_network
+from networks import grid_network
 from repro.schemes.full_materialization import (
     NODE_ID_BYTES,
     estimate_full_materialization_bytes,

@@ -68,7 +68,7 @@ def _with_data_round(header, pages):
     """``header`` padding its data round to ``pages``, its plan agreeing: the
     last round that fetches the data file fetches the difference more."""
     rounds = list(header.plan.rounds)
-    last = max(i for i, spec in enumerate(rounds) if spec.pages_for(header.data_file))
+    last = max(i for i, spec in enumerate(rounds) if dict(spec.fetches).get(header.data_file, 0))
     delta = pages - header.data_round_pages
     fetches, done = [], False
     for name, count in rounds[last].fetches:

@@ -61,7 +61,7 @@ class TestHybridThresholdExtremes:
         tight = build_hybrid(
             shared, threshold=max(1, max_size // 4), subgraphs=shared["products"].passage_subgraphs
         )
-        assert tight.storage_bytes >= loose.storage_bytes
+        assert tight.database.total_size_bytes >= loose.database.total_size_bytes
         assert tight.plan.rounds[-1].total_pages <= loose.plan.rounds[-1].total_pages
 
     def test_missing_subgraphs_for_replaced_pairs_rejected(self, shared):

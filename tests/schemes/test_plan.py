@@ -25,8 +25,6 @@ class TestQueryPlan:
 
     def test_round_spec_helpers(self):
         round_spec = RoundSpec(fetches=(("index", 2), ("data", 5)))
-        assert round_spec.pages_for("index") == 2
-        assert round_spec.pages_for("missing") == 0
         assert round_spec.total_pages == 7
 
     def test_expected_adversary_view(self):

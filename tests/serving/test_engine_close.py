@@ -4,7 +4,7 @@ import pytest
 
 from repro.costmodel import SystemSpec
 from repro.engine import QueryEngine
-from repro.network import grid_network
+from networks import grid_network
 from repro.schemes import ConciseIndexScheme
 from repro.serving import ShardCluster
 

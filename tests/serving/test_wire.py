@@ -7,6 +7,7 @@ Round trips are property-tested with hypothesis; the hostile-input cases are
 hand-written.
 """
 
+import io
 import struct
 
 import pytest
@@ -16,7 +17,6 @@ from repro.exceptions import PirError
 from repro.serving import wire
 from repro.serving.wire import (
     AnswerRequest,
-    FrameDecoder,
     HelloRequest,
     RemoteServerError,
     ServerBusy,
@@ -47,30 +47,6 @@ class TestFraming:
         header = wire.encode_frame(b"x" * 64)[: wire.HEADER_SIZE]
         with pytest.raises(WireError):
             wire.decode_frame_length(header, max_frame_bytes=32)
-
-    @given(st.lists(st.binary(min_size=0, max_size=200), min_size=1, max_size=8),
-           st.integers(min_value=1, max_value=17))
-    @settings(max_examples=60, deadline=None)
-    def test_decoder_reassembles_any_chunking(self, payloads, chunk):
-        stream = b"".join(wire.encode_frame(p) for p in payloads)
-        decoder = FrameDecoder()
-        out = []
-        for i in range(0, len(stream), chunk):
-            out.extend(decoder.feed(stream[i : i + chunk]))
-        assert out == payloads
-        assert decoder.pending_bytes == 0
-
-    def test_truncated_frame_stays_pending(self):
-        frame = wire.encode_frame(b"truncated-body")
-        decoder = FrameDecoder()
-        assert decoder.feed(frame[:-3]) == []
-        assert decoder.pending_bytes == len(frame) - 3
-        assert decoder.feed(frame[-3:]) == [b"truncated-body"]
-
-    def test_decoder_rejects_oversized_announcement(self):
-        decoder = FrameDecoder(max_frame_bytes=16)
-        with pytest.raises(WireError):
-            decoder.feed(wire.encode_frame(b"y" * 64))
 
 
 class TestRequestRoundTrips:
@@ -187,9 +163,11 @@ class TestInterleaving:
             wire.encode_hello_request(),
             wire.encode_answer_request("b", [0b101]),
         ]
-        stream = b"".join(wire.encode_frame(p) for p in requests)
-        decoder = FrameDecoder()
-        decoded = [wire.decode_request(p) for p in decoder.feed(stream)]
+        stream = io.BytesIO(b"".join(wire.encode_frame(p) for p in requests))
+        decoded = []
+        while header := stream.read(wire.HEADER_SIZE):
+            length = wire.decode_frame_length(header)
+            decoded.append(wire.decode_request(stream.read(length)))
         assert decoded[0] == AnswerRequest(file_name="a", masks=(1, 2))
         assert decoded[1] == HelloRequest()
         assert decoded[2] == AnswerRequest(file_name="b", masks=(5,))

@@ -4,11 +4,9 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.storage.compression import (
-    compression_ratio,
     decode_uint_sequence,
     delta_decode_ids,
     delta_encode_ids,
-    dequantize_weights,
     encode_uint_sequence,
     quantize_weights,
     zigzag_decode,
@@ -86,19 +84,10 @@ class TestWeightQuantisation:
     def test_roundtrip_within_resolution(self):
         weights = [0.0, 1.2345, 17.5, 0.001, 123.456]
         ticks, resolution = quantize_weights(weights, resolution=1e-3)
-        restored = dequantize_weights(ticks, resolution)
+        restored = [tick * resolution for tick in ticks]
         for original, back in zip(weights, restored):
             assert abs(original - back) <= resolution / 2 + 1e-12
 
     def test_invalid_resolution(self):
         with pytest.raises(StorageError):
             quantize_weights([1.0], resolution=0.0)
-
-
-class TestCompressionRatio:
-    def test_ratio(self):
-        assert compression_ratio(100, 40) == pytest.approx(0.4)
-
-    def test_invalid_original(self):
-        with pytest.raises(StorageError):
-            compression_ratio(0, 10)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import StorageError
-from repro.storage import Database, PageFile
+from repro.storage import Database
 
 
 class TestDatabase:
@@ -23,13 +23,6 @@ class TestDatabase:
     def test_unknown_file_rejected(self):
         with pytest.raises(StorageError):
             Database().file("missing")
-
-    def test_add_existing_file_checks_page_size(self):
-        database = Database(page_size=64)
-        with pytest.raises(StorageError):
-            database.add_file(PageFile("index", page_size=128))
-        database.add_file(PageFile("index", page_size=64))
-        assert database.has_file("index")
 
     def test_header_storage(self):
         database = Database()

@@ -5,12 +5,8 @@ import json
 import pytest
 
 from repro.exceptions import StorageError
-from repro.storage import (
-    Database,
-    databases_equal,
-    load_database,
-    save_database,
-)
+from database_equality import databases_equal
+from repro.storage import Database, load_database, save_database
 from repro.storage.persist import HEADER_NAME, MANIFEST_NAME
 
 

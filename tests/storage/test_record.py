@@ -1,10 +1,13 @@
 """Tests for the binary record codecs."""
 
+import math
+import struct
+
 import pytest
 
 from repro.exceptions import StorageError
 from repro.storage import RecordReader, RecordWriter
-from repro.storage.record import decode_varint, encode_varint
+from repro.storage.record import check_edge_weights, decode_varint, encode_varint
 
 
 class TestPrimitives:
@@ -21,13 +24,6 @@ class TestPrimitives:
             RecordWriter().uint32(-1)
         with pytest.raises(StorageError):
             RecordWriter().uint32(2**32)
-
-    def test_uint16_round_trip(self):
-        writer = RecordWriter()
-        writer.uint16(0).uint16(65535)
-        reader = RecordReader(writer.getvalue())
-        assert reader.uint16() == 0
-        assert reader.uint16() == 65535
 
     def test_float32_round_trip_approximate(self):
         writer = RecordWriter()
@@ -58,7 +54,7 @@ class TestPrimitives:
         with pytest.raises(StorageError):
             reader.raw(3)
 
-    @pytest.mark.parametrize("field", ["uint32", "uint16", "float32", "float64"])
+    @pytest.mark.parametrize("field", ["uint32", "float32", "float64"])
     def test_fixed_width_read_past_end(self, field):
         reader = RecordReader(b"\x01", offset=0)
         with pytest.raises(StorageError):
@@ -122,3 +118,24 @@ class TestCompositeRecords:
         writer = RecordWriter()
         writer.uint32(1).float32(1.0)
         assert len(writer) == 8
+
+
+def float32(value):
+    return struct.unpack("<f", struct.pack("<f", value))[0]
+
+
+class TestEdgeWeights:
+    """Decoded weights must be finite and positive, wherever a bad one sits:
+    ``min`` skips a NaN that is not first, so NaN needs the ``sum`` check."""
+
+    @pytest.mark.parametrize("weights", [(), (1.0,), (float32(1e-45), float32(3e38), 2.5)])
+    def test_positive_finite_weights_pass(self, weights):
+        check_edge_weights(weights)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, -1.0, math.inf])
+    def test_one_bad_weight_anywhere_raises(self, bad, position):
+        weights = [1.0, 2.0, 3.0]
+        weights[position] = float32(bad)
+        with pytest.raises(StorageError, match="weights"):
+            check_edge_weights(weights)

@@ -33,6 +33,15 @@ class TestParser:
             )
 
 
+    def test_unreadable_network_is_an_argument_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--network", str(tmp_path / "missing.txt")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read --network")
+        assert len(err.splitlines()) == 1
+
+
 class TestDatasetsCommand:
     def test_lists_all_registry_entries(self, capsys):
         assert main(["datasets"]) == 0
