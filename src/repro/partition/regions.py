@@ -125,6 +125,5 @@ class Partitioning:
         visit(self.tree)
         return records
 
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Partitioning(regions={self.num_regions})"

@@ -32,7 +32,6 @@ class TestParser:
                 ]
             )
 
-
     def test_unreadable_network_is_an_argument_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["batch", "--network", str(tmp_path / "missing.txt")])
